@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -20,7 +19,7 @@ from .chern_degree import (
     ProblemSpec,
     existence_check,
     multidegree,
-    total_degree,
+    require_existence,
 )
 from .partition_schur import complex_terms
 from .polyring import PolyError, Polynomial
@@ -31,8 +30,8 @@ from .resultant_engine import (
     concrete_morphism,
     critical_degree,
     generic_morphism,
-    rational_rank,
     resultant_gcd,
+    sigma_rank,
 )
 from .scroll_chow import (
     PlaneStiefel,
@@ -64,21 +63,30 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _json_int(value) -> int:
+    """A JSON integer; floats, booleans and strings are not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{json.dumps(value)} is not an integer")
+    return value
+
+
 def _load_spec(path: str) -> ProblemSpec:
     data = _load_json(path)
     try:
         return ProblemSpec(
-            m=int(data["m"]),
-            n=int(data["n"]),
-            r=int(data["r"]),
-            d=tuple(int(x) for x in data["d"]),
-            k=tuple(int(x) for x in data["k"]),
+            m=_json_int(data["m"]),
+            n=_json_int(data["n"]),
+            r=_json_int(data["r"]),
+            d=tuple(_json_int(x) for x in data["d"]),
+            k=tuple(_json_int(x) for x in data["k"]),
         )
     except (KeyError, TypeError, ValueError, ExistenceError) as exc:
         raise InputError(f"bad problem spec in {path}: {exc}") from exc
 
 
 def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
+    # A spec without a resultant exits 3 even when the morphism is bad too.
+    require_existence(spec)
     data = _load_json(path)
     try:
         rows = [[Polynomial.from_json(cell) for cell in row] for row in data]
@@ -167,10 +175,6 @@ def _cmd_degree(args) -> int:
 
 def _cmd_matrix(args) -> int:
     spec = _load_spec(args.spec)
-    ok, bad = existence_check(spec)
-    if not ok:
-        print("; ".join(bad), file=sys.stderr)
-        return EXIT_EXISTENCE
     d = args.degree if args.degree is not None else critical_degree(spec)
     if args.phi:
         phi = _load_phi(args.phi, spec)
@@ -199,10 +203,6 @@ def _resultant_payload(out) -> dict:
 
 def _cmd_resultant(args) -> int:
     spec = _load_spec(args.spec)
-    ok, bad = existence_check(spec)
-    if not ok:
-        print("; ".join(bad), file=sys.stderr)
-        return EXIT_EXISTENCE
     out = resultant_gcd(spec, d=args.degree, minor_budget=args.budget)
     if args.json:
         _emit_json({"schema": SCHEMA, **_resultant_payload(out)})
@@ -215,31 +215,14 @@ def _cmd_resultant(args) -> int:
 
 def _cmd_test(args) -> int:
     spec = _load_spec(args.spec)
-    ok, bad = existence_check(spec)
-    if not ok:
-        print("; ".join(bad), file=sys.stderr)
-        return EXIT_EXISTENCE
     phi = _load_phi(args.phi, spec)
-    d = args.degree if args.degree is not None else critical_degree(spec)
-    sigma = build_sigma(spec, d, phi)
-    rows, cols = sigma.shape
-    rank = rational_rank(sigma.entries)
-    vanishes = rank < rows
+    result = sigma_rank(spec, phi, args.degree)
     if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "d": d,
-                "rows": rows,
-                "cols": cols,
-                "rank": rank,
-                "vanishes": vanishes,
-            }
-        )
+        _emit_json({"schema": SCHEMA, **result._asdict(), "vanishes": result.vanishes})
     else:
-        print(f"rank: {rank} of {rows}")
-        print(f"vanishes: {str(vanishes).lower()}")
-    return EXIT_VANISHES if vanishes else EXIT_OK
+        print(f"rank: {result.rank} of {result.rows}")
+        print(f"vanishes: {str(result.vanishes).lower()}")
+    return EXIT_VANISHES if result.vanishes else EXIT_OK
 
 
 def _cmd_chow(args) -> int:
@@ -285,10 +268,7 @@ def _cmd_chow_test(args) -> int:
 
 def _cmd_complex(args) -> int:
     spec = _load_spec(args.spec)
-    ok, bad = existence_check(spec)
-    if not ok:
-        print("; ".join(bad), file=sys.stderr)
-        return EXIT_EXISTENCE
+    require_existence(spec)
     q = spec.n - spec.r
     lo = q * spec.r - spec.m * q
     indices = [args.p] if args.p is not None else list(range(lo, 1))
@@ -342,9 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="build the sigma_d matrix")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, default=None)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--generic", action="store_true", help="generic morphism (default)")
-    g.add_argument("--phi", default=None, help="concrete morphism JSON file")
+    p.add_argument("--phi", default=None, help="concrete morphism JSON file (default: generic)")
     add_json(p)
     p.set_defaults(func=_cmd_matrix)
 
@@ -385,9 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Read but do not require: the implementation is sequential; the cap is
-    # honored trivially.
-    os.environ.get("DETRES_THREADS")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from math import prod
+from typing import Callable, NamedTuple, Sequence
 
 from .chern_degree import (
     ExistenceError,
@@ -161,12 +162,17 @@ class ConcreteMorphism:
     entries: tuple[tuple[Polynomial, ...], ...]
 
     def __post_init__(self) -> None:
+        geo = geometric_names(self.spec)
+        if self.varset.names != geo:
+            raise PolyError(f"variables must be {', '.join(geo)}")
         if len(self.entries) != self.spec.n:
             raise PolyError(f"expected {self.spec.n} rows")
         for j, row in enumerate(self.entries, start=1):
             if len(row) != self.spec.m:
                 raise PolyError(f"row {j} must have {self.spec.m} entries")
             for i, p in enumerate(row, start=1):
+                if p.varset != self.varset:
+                    raise PolyError(f"entry ({j},{i}) is not over {', '.join(geo)}")
                 want = self.spec.d[i - 1] - self.spec.k[j - 1]
                 if p.is_zero():
                     continue
@@ -183,10 +189,32 @@ class ConcreteMorphism:
 def concrete_morphism(
     spec: ProblemSpec, rows: Sequence[Sequence[Polynomial]]
 ) -> ConcreteMorphism:
+    """A rational morphism from rows of forms in the variables x0..xN.
+
+    An entry may list x0..xN in any order: its exponents are read by
+    variable name.  Any other variable list is rejected.
+    """
     require_existence(spec)
-    varset = rows[0][0].varset
+    varset = VarSet(geometric_names(spec))
     return ConcreteMorphism(
-        spec=spec, varset=varset, entries=tuple(tuple(r) for r in rows)
+        spec=spec,
+        varset=varset,
+        entries=tuple(tuple(_by_name(p, varset) for p in row) for row in rows),
+    )
+
+
+def _by_name(p: Polynomial, varset: VarSet) -> Polynomial:
+    """``p`` rewritten over ``varset``, which must hold the same names."""
+    if p.varset == varset:
+        return p
+    if sorted(p.varset.names) != sorted(varset.names):
+        raise PolyError(
+            f"variables {list(p.varset.names)} are not {list(varset.names)}"
+            " in some order"
+        )
+    perm = [p.varset.index(name) for name in varset.names]
+    return Polynomial(
+        varset, {tuple(e[t] for t in perm): c for e, c in p.terms.items()}
     )
 
 
@@ -367,44 +395,25 @@ def build_sigma(
 
 
 # ---------------------------------------------------------------------------
-# Exact rank
+# Exact elimination
 # ---------------------------------------------------------------------------
 
 
-def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    m = [list(row) for row in matrix]
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, rows):
-            if m[r][c]:
-                f = m[r][c] / pv
-                for cc in range(c, cols):
-                    m[r][cc] -= f * m[rank][cc]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def row_echelon(
+    matrix: Sequence[Sequence[Fraction]],
+) -> tuple[list[int], list[Fraction], int]:
+    """Forward Gaussian elimination of an exact rational matrix.
 
-
-def _pivot_columns(matrix: list[list[Fraction]]) -> list[int]:
-    """Column indices of the lexicographically first maximal independent set."""
+    Returns the pivot columns (ascending: the lexicographically first
+    maximal independent column set), the pivot entries and the row-swap
+    sign.  Elimination stops once the rank reaches the row count.
+    """
     m = [list(row) for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    pivots = []
+    pivots: list[int] = []
+    values: list[Fraction] = []
+    sign = 1
     rank = 0
     for c in range(cols):
         pivot = None
@@ -414,7 +423,9 @@ def _pivot_columns(matrix: list[list[Fraction]]) -> list[int]:
                 break
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
         pv = m[rank][c]
         for r in range(rank + 1, rows):
             if m[r][c]:
@@ -422,35 +433,24 @@ def _pivot_columns(matrix: list[list[Fraction]]) -> list[int]:
                 for cc in range(c, cols):
                     m[r][cc] -= f * m[rank][cc]
         pivots.append(c)
+        values.append(pv)
         rank += 1
         if rank == rows:
             break
-    return pivots
+    return pivots, values, sign
 
 
-def _numeric_det(matrix: list[list[Fraction]]) -> Fraction:
-    m = [list(row) for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / pv
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    return det
+def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of an exact rational matrix by Gaussian elimination."""
+    return len(row_echelon(matrix)[0])
+
+
+def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square exact rational matrix."""
+    pivots, values, sign = row_echelon(matrix)
+    if len(pivots) < len(matrix):
+        return Fraction(0)
+    return prod(values, start=Fraction(sign))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def _candidate_column_sets(
     sets swap a single selected column (last first) for an unselected one,
     keeping only numerically nonsingular candidates.
     """
-    base = _pivot_columns(numeric)
+    base = row_echelon(numeric)[0]
     rows = len(numeric)
     if len(base) < rows:
         return []
@@ -492,7 +492,7 @@ def _candidate_column_sets(
         for cin in unselected:
             cand = sorted(base[:pos] + base[pos + 1 :] + [cin])
             sub = [[numeric[r][c] for c in cand] for r in range(rows)]
-            if _numeric_det(sub):
+            if len(row_echelon(sub)[0]) == rows:
                 out.append(cand)
                 if len(out) >= budget:
                     return out
@@ -584,14 +584,27 @@ def resultant_gcd(
 # ---------------------------------------------------------------------------
 
 
-def vanish_test(
-    spec: ProblemSpec, phi: ConcreteMorphism, d: int | None = None
-) -> bool:
-    """Whether the determinantal resultant vanishes at a rational morphism.
+class SigmaRank(NamedTuple):
+    """Degree, shape and exact rank of sigma_d at a rational morphism."""
 
-    Builds ``sigma_d`` with the concrete entries and checks surjectivity by
-    exact rank: the resultant vanishes exactly when the rank is below the
-    row count.
+    d: int
+    rows: int
+    cols: int
+    rank: int
+
+    @property
+    def vanishes(self) -> bool:
+        """For d >= nu: the resultant vanishes exactly when sigma_d drops rank."""
+        return self.rank < self.rows
+
+
+def sigma_rank(
+    spec: ProblemSpec, phi: ConcreteMorphism, d: int | None = None
+) -> SigmaRank:
+    """Build ``sigma_d`` with the concrete entries and take its exact rank.
+
+    ``d`` defaults to the critical degree and may not be below it: only
+    there does a rank drop mean that the resultant vanishes.
     """
     require_existence(spec)
     if phi.spec != spec:
@@ -602,8 +615,18 @@ def vanish_test(
     if d < nu:
         raise PolyError(f"degree {d} is below the critical degree {nu}")
     sigma = build_sigma(spec, d, phi)
-    rows, _ = sigma.shape
-    return rational_rank(sigma.entries) < rows
+    rows, cols = sigma.shape
+    return SigmaRank(d, rows, cols, rational_rank(sigma.entries))
+
+
+def vanish_test(
+    spec: ProblemSpec, phi: ConcreteMorphism, d: int | None = None
+) -> bool:
+    """Whether the determinantal resultant vanishes at a rational morphism.
+
+    Checks surjectivity of ``sigma_d`` by exact rank (see ``sigma_rank``).
+    """
+    return sigma_rank(spec, phi, d).vanishes
 
 
 def staircase_specialization(spec: ProblemSpec) -> ConcreteMorphism:

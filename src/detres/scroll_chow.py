@@ -28,7 +28,10 @@ from .resultant_engine import (
     GenericMorphism,
     ResultantOutput,
     generic_morphism,
+    geometric_names,
     letter_naming,
+    rational_det,
+    rational_rank,
     resultant_gcd,
     vanish_test,
 )
@@ -181,9 +184,7 @@ class PlaneStiefel:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
     def rank(self) -> int:
-        from .resultant_engine import rational_rank
-
-        return rational_rank([list(r) for r in self.rows])
+        return rational_rank(self.rows)
 
 
 def plucker_coords(plane: PlaneStiefel) -> tuple[Fraction, ...]:
@@ -193,14 +194,8 @@ def plucker_coords(plane: PlaneStiefel) -> tuple[Fraction, ...]:
         raise PolyError("plane matrix has fewer columns than rows")
     out = []
     for sub in combinations(range(cols), rows):
-        out.append(_fraction_det([[plane.rows[r][c] for c in sub] for r in range(rows)]))
+        out.append(rational_det([[plane.rows[r][c] for c in sub] for r in range(rows)]))
     return tuple(out)
-
-
-def _fraction_det(m: list[list[Fraction]]) -> Fraction:
-    from .resultant_engine import _numeric_det
-
-    return _numeric_det(m)
 
 
 def plane_morphism(spec: ScrollSpec, plane: PlaneStiefel) -> ConcreteMorphism:
@@ -216,7 +211,7 @@ def plane_morphism(spec: ScrollSpec, plane: PlaneStiefel) -> ConcreteMorphism:
     if cols != spec.N + 1:
         raise PolyError(f"plane rows must have {spec.N + 1} entries")
     problem = chow_problem(spec)
-    varset = VarSet(tuple(f"x{t}" for t in range(problem.N + 1)))
+    varset = VarSet(geometric_names(problem))
     entries = []
     for i, d in enumerate(spec.degrees, start=1):
         off = spec.block_offset(i)

@@ -21,6 +21,16 @@ SYL11 = {"m": 2, "n": 1, "r": 0, "d": [1, 1], "k": [0]}
 BAD = {"m": 2, "n": 1, "r": 0, "d": [1, 1], "k": [1]}
 
 
+SYL12 = {"m": 2, "n": 1, "r": 0, "d": [1, 2], "k": [0]}
+
+
+def monomial_json(names, exps):
+    return {"vars": names, "terms": [{"c": "1", "e": exps}]}
+
+
+X0 = monomial_json(["x0", "x1"], [1, 0])
+
+
 def phi_json(rows):
     return [[p.to_json() for p in row] for row in rows]
 
@@ -58,6 +68,15 @@ class TestDegree:
     def test_missing_file(self, capsys):
         assert main(["degree", "--spec", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 1.7), ("m", True), ("r", "0"), ("d", [1, 1.0]), ("k", [False])],
+    )
+    def test_non_integer_field(self, spec_file, capsys, field, value):
+        path = spec_file("s.json", {**SYL11, field: value})
+        assert main(["degree", "--spec", path]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_byte_determinism(self, spec_file, capsys):
         path = spec_file("s.json", SYLVESTER)
         main(["degree", "--spec", path, "--json"])
@@ -89,6 +108,27 @@ class TestMatrix:
         assert data["symbolic"] is False
 
 
+    def test_generic_flag_removed(self, spec_file, capsys):
+        path = spec_file("s.json", SYL11)
+        with pytest.raises(SystemExit) as exc:
+            main(["matrix", "--spec", path, "--generic"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["matrix", "resultant", "test", "complex"])
+def test_existence_failure_exit_three(spec_file, tmp_path, capsys, command):
+    path = spec_file("bad.json", BAD)
+    argv = [command, "--spec", path]
+    if command == "test":
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(phi_json(make_phi([[(1, 0), (0, 1)]]))))
+        argv += ["--phi", str(phi)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d_1 > k_1 fails" in captured.err
+
+
 class TestResultant:
     def test_sylvester(self, spec_file, capsys):
         path = spec_file("s.json", SYL11)
@@ -118,6 +158,51 @@ class TestVanishTest:
         phi = tmp_path / "phi.json"
         phi.write_text("not json")
         assert main(["test", "--spec", path, "--phi", str(phi)]) == 2
+
+    @pytest.mark.parametrize("degree", ["1", "0"])
+    def test_degree_below_critical(self, spec_file, tmp_path, capsys, degree):
+        # (x0, x1^2) has no common zero; below nu = 2 sigma drops rank anyway
+        path = spec_file("s.json", SYL12)
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps([[X0, monomial_json(["x0", "x1"], [0, 2])]]))
+        argv = ["test", "--spec", path, "--phi", str(phi), "--json"]
+        assert main(argv + ["--degree", degree]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+
+    def test_phi_vars_matched_by_name(self, spec_file, tmp_path, capsys):
+        # (x1, x0^2), the first entry written under vars [x1, x0]
+        path = spec_file("s.json", SYL12)
+        phi = tmp_path / "phi.json"
+        phi.write_text(
+            json.dumps(
+                [[monomial_json(["x1", "x0"], [1, 0]), monomial_json(["x0", "x1"], [2, 0])]]
+            )
+        )
+        assert main(["test", "--spec", path, "--phi", str(phi), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["vanishes"] is False
+        assert data["rank"] == data["rows"] == 3
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            [[]],
+            [],
+            [[X0]],
+            [[X0, X0], [X0, X0]],
+            [[monomial_json(["y0", "y1"], [1, 0]), monomial_json(["y0", "y1"], [0, 1])]],
+            [[monomial_json(["x0", "x1", "x2"], [1, 0, 0]), X0]],
+        ],
+        ids=["empty-row", "no-rows", "short-row", "extra-row", "other-vars", "three-vars"],
+    )
+    def test_malformed_phi(self, spec_file, tmp_path, capsys, phi):
+        path = spec_file("s.json", SYL11)
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps(phi))
+        assert main(["test", "--spec", path, "--phi", str(phi_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad morphism") and err.count("\n") == 1
 
 
 class TestChow:

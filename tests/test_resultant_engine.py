@@ -19,8 +19,10 @@ from detres.resultant_engine import (
     critical_degree,
     generic_morphism,
     parameter_assignment,
+    rational_det,
     rational_rank,
     resultant_gcd,
+    row_echelon,
     staircase_specialization,
     vanish_test,
 )
@@ -259,6 +261,17 @@ class TestVanishTest:
         phi = concrete_morphism(spec, [[f, g]])
         assert vanish_test(spec, phi) is True
 
+    def test_entries_read_by_variable_name(self):
+        swapped = VarSet(("x1", "x0"))
+        x1 = Polynomial.variable(swapped, "x1")
+        phi = concrete_morphism(self.spec, [[x1, self.x]])
+        assert phi.entry(1, 1) == self.y
+        assert vanish_test(self.spec, phi) is False
+        with pytest.raises(PolyError):
+            ConcreteMorphism(self.spec, swapped, ((x1, Polynomial.variable(swapped, "x0")),))
+        with pytest.raises(PolyError):
+            ConcreteMorphism(self.spec, self.vs, ((x1, self.x),))
+
     def test_zero_entries_allowed(self):
         spec = sylvester_spec(1, 1)
         phi = concrete_morphism(spec, [[self.x, Polynomial.zero(self.vs)]])
@@ -292,3 +305,47 @@ class TestStaircase:
     def test_non_principal_rejected(self):
         with pytest.raises(ExistenceError):
             staircase_specialization(ProblemSpec(2, 2, 0, (1, 1), (0, -1)))
+
+
+def _elimination_cases():
+    """Seeded Fraction matrices with singular, zero-column and row-swap cases."""
+    rng = random.Random(0xEC)
+    pool = [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+    cases = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]]
+    for t in range(60):
+        rows = rng.randint(1, 6)
+        cols = rows if t % 2 else rng.randint(1, 8)
+        m = [[Fraction(rng.choice(pool)) for _ in range(cols)] for _ in range(rows)]
+        kind = t % 6
+        if kind == 1 and rows >= 3:  # singular: last row a combination of two
+            m[-1] = [m[0][c] - 2 * m[1][c] for c in range(cols)]
+        elif kind == 3:  # a zero column
+            z = rng.randrange(cols)
+            for row in m:
+                row[z] = Fraction(0)
+        elif kind == 5 and rows >= 2:  # first pivot needs a row swap
+            m[0][0] = Fraction(0)
+            m[-1][0] = Fraction(rng.choice([1, -3, Fraction(2, 7)]))
+        cases.append([[Fraction(x) for x in row] for row in m])
+    return cases
+
+
+class TestRowEchelon:
+    """Rank, greedy pivot set and determinant against sympy as an oracle."""
+
+    @pytest.mark.parametrize("matrix", _elimination_cases())
+    def test_against_sympy(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        oracle = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
+        )
+        pivots, _, _ = row_echelon(matrix)
+        assert rational_rank(matrix) == oracle.rank()
+        assert tuple(pivots) == oracle.rref()[1]
+        if len(matrix) == len(matrix[0]):
+            det = oracle.det()
+            assert rational_det(matrix) == Fraction(int(det.p), int(det.q))
+
+    def test_empty(self):
+        assert rational_rank([]) == 0
+        assert rational_det([]) == 1
