@@ -227,17 +227,16 @@ def _cmd_test(args) -> int:
 
 def _cmd_chow(args) -> int:
     scroll = _parse_scroll(args.scroll)
-    problem = chow_problem(scroll)
-    phi = chow_generic_morphism(scroll)
-    sigma = build_sigma(problem, critical_degree(problem), phi)
-    payload: dict = {"schema": SCHEMA, "matrix": _sigma_json(sigma)}
-    code = EXIT_OK
     out = None
-    if not args.matrix_only:
+    if args.matrix_only:
+        problem = chow_problem(scroll)
+        sigma = build_sigma(problem, critical_degree(problem), chow_generic_morphism(scroll))
+    else:
         out = chow_form(scroll, minor_budget=args.budget)
+        sigma = out.sigma
+    payload: dict = {"schema": SCHEMA, "matrix": _sigma_json(sigma)}
+    if out is not None:
         payload["chow_form"] = _resultant_payload(out)
-        if not out.confirmed:
-            code = EXIT_BUDGET
     if args.json:
         _emit_json(payload)
     else:
@@ -249,7 +248,7 @@ def _cmd_chow(args) -> int:
             print(f"chow form degrees per block: {list(out.block_degrees)}")
             print(f"confirmed: {out.confirmed}")
             print(out.polynomial)
-    return code
+    return EXIT_BUDGET if out is not None and not out.confirmed else EXIT_OK
 
 
 def _cmd_chow_test(args) -> int:

@@ -16,11 +16,9 @@ than the smaller rank) this reproduces the Eagon-Northcott shapes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Partition = tuple[int, ...]
 
@@ -209,30 +207,3 @@ def schur_dim(I: Sequence[int], rank: int) -> int:
     assert num % den == 0
     return num // den
 
-
-def enumerate_ssyt(I: Sequence[int], rank: int) -> int:
-    """Brute-force semistandard tableau count (test oracle, small shapes)."""
-    lam = tuple(sorted(trim(I), reverse=True))
-    if not lam:
-        return 1
-    if len(lam) > rank:
-        return 0
-
-    rows: list[list[int]] = [[0] * r for r in lam]
-
-    def fill(i: int, j: int) -> int:
-        if i == len(lam):
-            return 1
-        ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])  # weakly increasing along rows
-        if i > 0 and j < lam[i - 1]:
-            lo = max(lo, rows[i - 1][j] + 1)  # strictly increasing down columns
-        total = 0
-        for v in range(lo, rank + 1):
-            rows[i][j] = v
-            total += fill(ni, nj)
-        return total
-
-    return fill(0, 0)

@@ -6,6 +6,11 @@ representation is canonical: two polynomials are equal exactly when their
 variable sets and term maps are equal.  All operations are pure; values are
 immutable after construction and safe to share between threads.
 
+``Fraction`` appears only in ``Polynomial.terms``.  Every routine that
+divides (exact division, the Bareiss determinant, the gcd) first clears
+denominators once and then runs on integer term dicts; by Gauss's lemma an
+exact division over Q is exact over Z once the divisor is primitive.
+
 Monomial order is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple with the leftmost variable most significant).
 This order fixes the row/column orderings of the resultant matrices built on
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -181,61 +186,33 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.varset, other)
         self._check_varset(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return Polynomial(self.varset, terms)
+        return Polynomial(self.varset, _dict_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.varset, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.varset, _dict_scale(self.terms, -1))
 
     def __sub__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.varset, other)
         return self + (-other)
 
     def __rsub__(self, other: "int | Fraction") -> "Polynomial":
-        return Polynomial.constant(self.varset, other) - self
+        return -self + other
 
     def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial.zero(self.varset)
-            return Polynomial(
-                self.varset, {e: coeff * c for e, coeff in self.terms.items()}
-            )
+            return Polynomial(self.varset, _dict_scale(self.terms, Fraction(other)))
         self._check_varset(other)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.varset, out)
+        return Polynomial(self.varset, _dict_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise PolyError("negative powers are not supported")
-        result = Polynomial.constant(self.varset, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return Polynomial.constant(self.varset, 1)
+        return Polynomial(self.varset, _dict_pow(self.terms, k))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -321,10 +298,22 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
+        """Inverse of ``to_json``: exponents must be integers, each ``c`` a
+        string or an integer, and no exponent may appear twice."""
         varset = VarSet(tuple(data["vars"]))
-        terms = {
-            tuple(t["e"]): Fraction(t["c"]) for t in data["terms"]
-        }
+        terms: dict[Exponent, Fraction] = {}
+        for t in data["terms"]:
+            e, c = t["e"], t["c"]
+            if type(e) not in (list, tuple) or any(type(x) is not int for x in e):
+                raise PolyError(f"exponent {e!r} is not a list of integers")
+            if type(c) not in (int, str):
+                raise PolyError(f"coefficient {c!r} is not a string or an integer")
+            if tuple(e) in terms:
+                raise PolyError(f"exponent {e!r} appears twice")
+            try:
+                terms[tuple(e)] = Fraction(c)
+            except (ValueError, ZeroDivisionError):
+                raise PolyError(f"coefficient {c!r} is not a rational number") from None
         return cls(varset, terms)
 
 
@@ -334,16 +323,24 @@ class Polynomial:
 
 
 def try_exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
-    """Return ``p / d`` when the division is exact, else ``None``."""
+    """Return ``p / d`` when the division is exact, else ``None``.
+
+    Both sides are cleared of denominators and the divisor is made
+    primitive, so by Gauss's lemma the integer division is exact exactly
+    when the rational one is.
+    """
     p._check_varset(d)
     if d.is_zero():
         raise PolyError("division by the zero polynomial")
     if p.is_zero():
         return Polynomial.zero(p.varset)
-    q = _dict_try_div(dict(p.terms), d.terms)
+    (P,), p_den = _clear_denominators(p.terms)
+    (D,), d_den = _clear_denominators(d.terms)
+    content = _int_content(D)
+    q = _dict_try_div(P, {e: c // content for e, c in D.items()})
     if q is None:
         return None
-    return Polynomial(p.varset, q)
+    return Polynomial(p.varset, _dict_scale(q, Fraction(d_den, p_den * content)))
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -361,8 +358,10 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix by Bareiss elimination.
 
-    Every division performed is exact by the Bareiss invariant; the result is
-    identical to cofactor expansion.
+    Each row is scaled by the lcm of its denominators, so the elimination
+    runs over Z, where every division is exact by the Bareiss invariant; the
+    integer determinant is divided by the product of those lcms once at the
+    end.  The result is identical to cofactor expansion.
     """
     n = len(matrix)
     if n == 0:
@@ -371,9 +370,11 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         if len(row) != n:
             raise PolyError("matrix is not square")
     varset = matrix[0][0].varset
-    m = [[dict(entry.terms) for entry in row] for row in matrix]
+    rows = [_clear_denominators(*(entry.terms for entry in row)) for row in matrix]
+    m = [int_row for int_row, _ in rows]
+    den = math.prod(row_den for _, row_den in rows)
     sign = 1
-    prev: dict[Exponent, Fraction] = {(0,) * len(varset): Fraction(1)}
+    prev: IntDict = {(0,) * len(varset): 1}
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -394,8 +395,7 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
                 m[i][j] = q
             m[i][k] = {}
         prev = m[k][k]
-    det = Polynomial(varset, m[n - 1][n - 1])
-    return -det if sign < 0 else det
+    return Polynomial(varset, _dict_scale(m[n - 1][n - 1], Fraction(sign, den)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +415,8 @@ def multivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     p._check_varset(q)
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd(0, 0) is undefined")
-    P = _to_int_dict(p.terms)
-    Q = _to_int_dict(q.terms)
-    g = _gcd_dict(P, Q)
-    return Polynomial(p.varset, _normalize_int_dict(g))
+    (P, Q), _ = _clear_denominators(p.terms, q.terms)
+    return Polynomial(p.varset, _normalize_int_dict(_gcd_dict(P, Q)))
 
 
 def normalize_gcd_style(p: Polynomial) -> Polynomial:
@@ -426,24 +424,31 @@ def normalize_gcd_style(p: Polynomial) -> Polynomial:
     coefficient under graded-lex) to an arbitrary nonzero polynomial."""
     if p.is_zero():
         raise PolyError("cannot normalize the zero polynomial")
-    return Polynomial(p.varset, _normalize_int_dict(_to_int_dict(p.terms)))
+    (P,), _ = _clear_denominators(p.terms)
+    return Polynomial(p.varset, _normalize_int_dict(P))
 
 
-# -- dict-level helpers (coefficients: int on the gcd path, Fraction on the
-#    determinant path; the arithmetic below is agnostic) --------------------
+# -- dict-level helpers ------------------------------------------------------
+# The ring helpers (_dict_add to _dict_pow) only add and multiply, so
+# Polynomial runs them on its Fraction terms too; everything that divides
+# takes integer dicts.
 
-IntDict = dict  # Exponent -> int | Fraction
+IntDict = dict  # Exponent -> int
 
 
-def _dict_sub(a: IntDict, b: IntDict) -> IntDict:
+def _dict_add(a: IntDict, b: IntDict) -> IntDict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) - c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         elif e in out:
             del out[e]
     return out
+
+
+def _dict_sub(a: IntDict, b: IntDict) -> IntDict:
+    return _dict_add(a, _dict_scale(b, -1))
 
 
 def _dict_mul(a: IntDict, b: IntDict) -> IntDict:
@@ -470,31 +475,20 @@ def _dict_scale(a: IntDict, c) -> IntDict:
 
 
 def _dict_pow(a: IntDict, k: int) -> IntDict:
-    out: IntDict = None
-    base = a
-    while True:
+    """``a**k`` for ``k >= 1`` by binary powering."""
+    out = None
+    while k:
         if k & 1:
-            out = base if out is None else _dict_mul(out, base)
+            out = a if out is None else _dict_mul(out, a)
         k >>= 1
-        if not k:
-            break
-        base = _dict_mul(base, base)
-    if out is None:
-        raise PolyError("zeroth power not expected here")
+        if k:
+            a = _dict_mul(a, a)
     return out
 
 
-def _coeff_div(a, b):
-    """Exact coefficient quotient a / b, or None when a/b is not exact
-    (integer case only; Fractions always divide exactly)."""
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        return q if r == 0 else None
-    return Fraction(a) / Fraction(b)
-
-
 def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
-    """Exact division of term dicts under graded-lex; None if not exact."""
+    """Exact division of integer term dicts under graded-lex; None if the
+    quotient is not an integer polynomial."""
     if not d:
         raise PolyError("division by zero")
     if not p:
@@ -509,8 +503,8 @@ def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
         te = tuple(a - b for a, b in zip(re, de))
         if any(x < 0 for x in te):
             return None
-        tc = _coeff_div(r[re], dc)
-        if tc is None:
+        tc, rem = divmod(r[re], dc)
+        if rem:
             return None
         q[te] = tc
         del r[re]
@@ -524,12 +518,14 @@ def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
     return q
 
 
-def _to_int_dict(terms: Mapping[Exponent, Fraction]) -> IntDict:
-    """Clear denominators and return an integer-coefficient dict."""
-    if not terms:
-        return {}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {e: int(c * den) for e, c in terms.items()}
+def _clear_denominators(*terms: Mapping[Exponent, Fraction]) -> tuple[list[IntDict], int]:
+    """Scale term maps by the lcm of all their denominators; return the
+    integer dicts and that lcm (1 when there are no terms)."""
+    den = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    return [
+        {e: c.numerator * (den // c.denominator) for e, c in t.items()}
+        for t in terms
+    ], den
 
 
 def _int_content(p: IntDict) -> int:

@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple, Sequence
 from .chern_degree import (
     ExistenceError,
     ProblemSpec,
-    multidegree,
     require_existence,
     total_degree,
 )
@@ -33,7 +32,6 @@ from .polyring import (
     Polynomial,
     VarSet,
     det_fraction_free,
-    exact_div,
     monomials_of_degree,
     multivariate_gcd,
     normalize_gcd_style,
@@ -468,6 +466,7 @@ class ResultantOutput:
     minors_used: int
     minor_columns: tuple[tuple[int, ...], ...]
     normalization: str
+    sigma: SigmaMatrix  # the matrix whose minors were taken
 
 
 def _candidate_column_sets(
@@ -576,6 +575,7 @@ def resultant_gcd(
         minors_used=used,
         minor_columns=tuple(chosen),
         normalization="integer content 1, positive graded-lex leading coefficient",
+        sigma=sigma,
     )
 
 

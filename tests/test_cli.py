@@ -28,6 +28,10 @@ def monomial_json(names, exps):
     return {"vars": names, "terms": [{"c": "1", "e": exps}]}
 
 
+def term_json(terms):
+    return {"vars": ["x0", "x1"], "terms": terms}
+
+
 X0 = monomial_json(["x0", "x1"], [1, 0])
 
 
@@ -193,8 +197,15 @@ class TestVanishTest:
             [[X0, X0], [X0, X0]],
             [[monomial_json(["y0", "y1"], [1, 0]), monomial_json(["y0", "y1"], [0, 1])]],
             [[monomial_json(["x0", "x1", "x2"], [1, 0, 0]), X0]],
+            [[term_json([{"c": "1", "e": [0.5, 0.5]}]), X0]],
+            [[term_json([{"c": "1", "e": [True, 0]}]), X0]],
+            [[term_json([{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [1, 0]}]), X0]],
+            [[term_json([{"c": 0.1, "e": [1, 0]}]), X0]],
         ],
-        ids=["empty-row", "no-rows", "short-row", "extra-row", "other-vars", "three-vars"],
+        ids=[
+            "empty-row", "no-rows", "short-row", "extra-row", "other-vars", "three-vars",
+            "float-exponent", "bool-exponent", "repeated-exponent", "float-coefficient",
+        ],
     )
     def test_malformed_phi(self, spec_file, tmp_path, capsys, phi):
         path = spec_file("s.json", SYL11)
@@ -211,6 +222,24 @@ class TestChow:
         data = json.loads(capsys.readouterr().out)
         assert len(data["matrix"]["row_basis"]) == 5
         assert len(data["matrix"]["col_basis"]) == 6
+
+    def test_builds_sigma_once(self, monkeypatch, capsys):
+        import detres.cli as cli
+        import detres.resultant_engine as engine
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_sigma(*args)
+
+        build_sigma = engine.build_sigma
+        monkeypatch.setattr(engine, "build_sigma", counting)
+        monkeypatch.setattr(cli, "build_sigma", counting)
+        assert main(["chow", "--scroll", "1,1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert len(data["matrix"]["row_basis"]) == 3
 
     def test_bad_scroll(self, capsys):
         assert main(["chow", "--scroll", "2,x", "--matrix-only"]) == 2

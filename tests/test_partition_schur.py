@@ -11,12 +11,39 @@ from detres.partition_schur import (
     complex_terms,
     conc,
     dual,
-    enumerate_ssyt,
     lemma510,
     schur_dim,
     trim,
     weight,
 )
+
+
+def enumerate_ssyt(I, rank):
+    """Brute-force semistandard tableau count: the oracle for ``schur_dim``."""
+    lam = tuple(sorted(trim(I), reverse=True))
+    if not lam:
+        return 1
+    if len(lam) > rank:
+        return 0
+
+    rows = [[0] * r for r in lam]
+
+    def fill(i, j):
+        if i == len(lam):
+            return 1
+        ni, nj = (i, j + 1) if j + 1 < lam[i] else (i + 1, 0)
+        lo = 1
+        if j > 0:
+            lo = max(lo, rows[i][j - 1])  # weakly increasing along rows
+        if i > 0 and j < lam[i - 1]:
+            lo = max(lo, rows[i - 1][j] + 1)  # strictly increasing down columns
+        total = 0
+        for v in range(lo, rank + 1):
+            rows[i][j] = v
+            total += fill(ni, nj)
+        return total
+
+    return fill(0, 0)
 
 
 def all_partitions(max_part, max_len):

@@ -18,6 +18,7 @@ from detres.polyring import (
     normalize_gcd_style,
     try_exact_div,
 )
+from detres.resultant_engine import rational_det
 
 XY = VarSet(("x", "y"))
 X = Polynomial.variable(XY, "x")
@@ -185,6 +186,35 @@ class TestDeterminant:
         one = Polynomial.constant(XY, 1)
         assert det_fraction_free([[z, one], [one, z]]) == Polynomial.constant(XY, -1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rational_entries(self, n):
+        # rows with different denominators; a zero corner forces a row swap
+        rng = random.Random(70 + n)
+        for trial in range(6):
+            m = [
+                [
+                    Polynomial(
+                        XY,
+                        {
+                            e: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                            for e in ((1, 0), (0, 1), (0, 0))
+                            if rng.random() < 0.7
+                        },
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            if trial % 2:
+                m[0][0] = Polynomial.zero(XY)
+            det = det_fraction_free(m)
+            assert det == laplace_det(m)
+            assert all(type(c) is Fraction for c in det.terms.values())
+            for _ in range(3):
+                pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in "xy"}
+                numeric = [[e.evaluate(pt) for e in row] for row in m]
+                assert det.evaluate(pt) == rational_det(numeric)
+
 
 class TestDivision:
     def test_exact(self):
@@ -196,6 +226,28 @@ class TestDivision:
     def test_zero_divisor(self):
         with pytest.raises(PolyError):
             exact_div(X, Polynomial.zero(XY))
+
+    def test_rational_quotient(self):
+        q = try_exact_div(X + 1, 2 * X + 2)
+        assert q == Fraction(1, 2)
+        assert type(q.terms[(0, 0)]) is Fraction
+
+    def test_rational_factors(self):
+        rng = random.Random(11)
+
+        def frac(lo=-7):
+            return Fraction(rng.randint(lo, 7), rng.randint(1, 5))
+
+        for _ in range(10):
+            f = Polynomial(XY, {(1, 0): frac(1), (0, 1): frac(), (0, 0): frac()})
+            g = Polynomial(XY, {(2, 0): frac(), (1, 1): frac(1), (0, 0): frac()})
+            assert try_exact_div(f * g, f) == g
+            assert try_exact_div(f * g, g) == f
+
+    def test_rational_inexact_returns_none(self):
+        p = Fraction(1, 3) * X * X + Fraction(2, 5) * Y
+        assert try_exact_div(p, Fraction(3, 7) * X + Fraction(1, 2)) is None
+        assert try_exact_div(p + Fraction(1, 9), Fraction(1, 3) * X) is None
 
 
 class TestGcd:
@@ -267,3 +319,26 @@ class TestSerialization:
     def test_exact_fraction_strings(self):
         p = Polynomial(XY, {(1, 0): Fraction(1, 3)})
         assert p.to_json()["terms"][0]["c"] == "1/3"
+
+    def test_integer_coefficient(self):
+        data = {"vars": ["x", "y"], "terms": [{"c": -3, "e": [1, 0]}]}
+        assert Polynomial.from_json(data) == -3 * X
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"c": "1", "e": [0.5, 0.5]}],
+            [{"c": "1", "e": [True, 0]}],
+            [{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [1, 0]}],
+            [{"c": 0.1, "e": [1, 0]}],
+            [{"c": True, "e": [1, 0]}],
+            [{"c": "1/0", "e": [1, 0]}],
+            [{"c": "one", "e": [1, 0]}],
+            [{"c": "1", "e": "10"}],
+        ],
+        ids=["float-exp", "bool-exp", "repeated-exp", "float-c", "bool-c",
+             "zero-den", "word-c", "string-exp"],
+    )
+    def test_rejects_malformed_terms(self, terms):
+        with pytest.raises(PolyError):
+            Polynomial.from_json({"vars": ["x", "y"], "terms": terms})
