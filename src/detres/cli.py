@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .chern_degree import (
@@ -22,7 +21,7 @@ from .chern_degree import (
     require_existence,
 )
 from .partition_schur import complex_terms
-from .polyring import PolyError, Polynomial
+from .polyring import PolyError, Polynomial, rational_from_json
 from .resultant_engine import (
     ConcreteMorphism,
     SigmaMatrix,
@@ -96,14 +95,15 @@ def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
 
 
 def _load_plane(path: str) -> PlaneStiefel:
+    """Rows of entries, each a rational string or a JSON integer."""
     data = _load_json(path)
     try:
+        if type(data) is not list or any(type(row) is not list for row in data):
+            raise PolyError("a plane is a list of rows, each a list of entries")
         return PlaneStiefel(
-            rows=tuple(
-                tuple(Fraction(str(v)) for v in row) for row in data
-            )
+            rows=tuple(tuple(rational_from_json(v) for v in row) for row in data)
         )
-    except (TypeError, ValueError, PolyError) as exc:
+    except PolyError as exc:
         raise InputError(f"bad plane in {path}: {exc}") from exc
 
 

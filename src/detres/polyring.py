@@ -65,9 +65,6 @@ class VarSet:
         except KeyError:
             raise PolyError(f"unknown variable {name!r}") from None
 
-    def extended(self, extra: Iterable[str]) -> "VarSet":
-        return VarSet(self.names + tuple(extra))
-
 
 def glex_key(exps: Exponent) -> tuple[int, Exponent]:
     """Sort key realizing the graded-lex order (ascending)."""
@@ -161,21 +158,6 @@ class Polynomial:
             return NEG_INFINITY
         return max(sum(e[i] for i in idx) for e in self.terms)
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
-        """Graded-lex leading (monomial, coefficient); error on zero."""
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        exps = max(self.terms, key=glex_key)
-        return exps, self.terms[exps]
-
-    def variables_used(self) -> set[str]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(self.varset.names[i])
-        return used
-
     # -- ring operations ---------------------------------------------------
 
     def _check_varset(self, other: "Polynomial") -> None:
@@ -268,9 +250,21 @@ class Polynomial:
         ``Fraction``; a partial assignment returns a ``Polynomial`` over the
         same varset with the bound variables eliminated.
         """
-        values: dict[int, Fraction] = {}
+        values: dict[int, Fraction | int] = {}
         for name, v in point.items():
-            values[self.varset.index(name)] = Fraction(v)
+            values[self.varset.index(name)] = v if type(v) is int else Fraction(v)
+        if len(values) == len(self.varset):
+            powers: dict[tuple[int, int], Fraction | int] = {}
+            total = Fraction(0)
+            for e, c in self.terms.items():
+                for i, k in enumerate(e):
+                    if k:
+                        p = powers.get((i, k))
+                        if p is None:
+                            p = powers[(i, k)] = values[i] ** k
+                        c *= p
+                total += c
+            return total
         out: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
             for i, val in values.items():
@@ -282,8 +276,6 @@ class Polynomial:
                 out[e2] = s
             elif e2 in out:
                 del out[e2]
-        if len(values) == len(self.varset):
-            return out.get((0,) * len(self.varset), Fraction(0))
         return Polynomial(self.varset, out)
 
     # -- serialization -----------------------------------------------------
@@ -306,15 +298,25 @@ class Polynomial:
             e, c = t["e"], t["c"]
             if type(e) not in (list, tuple) or any(type(x) is not int for x in e):
                 raise PolyError(f"exponent {e!r} is not a list of integers")
-            if type(c) not in (int, str):
-                raise PolyError(f"coefficient {c!r} is not a string or an integer")
+            c = rational_from_json(c)
             if tuple(e) in terms:
                 raise PolyError(f"exponent {e!r} appears twice")
-            try:
-                terms[tuple(e)] = Fraction(c)
-            except (ValueError, ZeroDivisionError):
-                raise PolyError(f"coefficient {c!r} is not a rational number") from None
+            terms[tuple(e)] = c
         return cls(varset, terms)
+
+
+def rational_from_json(c) -> Fraction:
+    """An exact rational from JSON: a string such as ``"-3/4"`` or an integer.
+
+    Floats and booleans are refused rather than rounded, as is a zero
+    denominator.
+    """
+    if type(c) not in (int, str):
+        raise PolyError(f"coefficient {c!r} is not a string or an integer")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        raise PolyError(f"coefficient {c!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Callable, NamedTuple, Sequence
 
 from .chern_degree import (
@@ -37,7 +37,7 @@ from .polyring import (
     normalize_gcd_style,
 )
 
-#: Seed for the fixed rational evaluation point used to order minors.
+#: Seed for the fixed integer evaluation point used to order minors.
 _POINT_SEED = 0x5EED
 
 
@@ -283,15 +283,6 @@ class SigmaMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
 
-    def zero_columns(self) -> list[int]:
-        """Indices of columns that are identically zero."""
-        rows, cols = self.shape
-        out = []
-        for c in range(cols):
-            if all(not self.entries[r][c] for r in range(rows)):
-                out.append(c)
-        return out
-
     def column_polynomial(self, c: int) -> Polynomial:
         """Re-expansion sum_rho entry(rho, c) * rho of a symbolic column.
 
@@ -398,48 +389,62 @@ def build_sigma(
 
 
 def row_echelon(
-    matrix: Sequence[Sequence[Fraction]],
+    matrix: Sequence[Sequence[Fraction | int]],
 ) -> tuple[list[int], list[Fraction], int]:
-    """Forward Gaussian elimination of an exact rational matrix.
+    """Exact rank by fraction-free elimination over Z.
 
-    Returns the pivot columns (ascending: the lexicographically first
-    maximal independent column set), the pivot entries and the row-swap
-    sign.  Elimination stops once the rank reaches the row count.
+    Each row is scaled once by the lcm of its denominators; forward Bareiss
+    elimination then runs on integers, every division exact.  Returns the
+    pivot columns (ascending: the lexicographically first maximal
+    independent column set), the pivot entries of Gaussian elimination on
+    the rational matrix and the row-swap sign.  The k-th pivot entry is
+    ``M_k / (M_{k-1} * den)``, with ``M_k`` the leading k x k minor of the
+    scaled, row-swapped matrix on the pivot columns and ``den`` the scale
+    of the pivot row.  Elimination stops once the rank reaches the row
+    count.
     """
-    m = [list(row) for row in matrix]
+    dens = [lcm(*(v.denominator for v in row)) for row in matrix]
+    m = [
+        [v.numerator * (den // v.denominator) for v in row]
+        for row, den in zip(matrix, dens)
+    ]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     values: list[Fraction] = []
     sign = 1
     rank = 0
+    prev = 1
     for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r][c]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, rows) if m[r][c]), None)
         if pivot is None:
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
+            dens[rank], dens[pivot] = dens[pivot], dens[rank]
             sign = -sign
-        pv = m[rank][c]
+        top = m[rank]
+        pv = top[c]
         for r in range(rank + 1, rows):
-            if m[r][c]:
-                f = m[r][c] / pv
-                for cc in range(c, cols):
-                    m[r][cc] -= f * m[rank][cc]
+            row = m[r]
+            f = row[c]
+            # A row with a zero in the pivot column is still scaled: the
+            # Bareiss divisions below stay exact only if every row is.
+            if f:
+                row[c:] = [(pv * a - f * b) // prev for a, b in zip(row[c:], top[c:])]
+            else:
+                row[c + 1 :] = [a * pv // prev for a in row[c + 1 :]]
         pivots.append(c)
-        values.append(pv)
+        values.append(Fraction(pv, prev * dens[rank]))
+        prev = pv
         rank += 1
         if rank == rows:
             break
     return pivots, values, sign
 
 
-def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
+def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
+    """Exact rank of a rational matrix by fraction-free elimination over Z."""
     return len(row_echelon(matrix)[0])
 
 
@@ -507,7 +512,7 @@ def resultant_gcd(
     """The determinantal resultant as a gcd of maximal minors of sigma_d.
 
     Minors are enumerated in a documented deterministic order (greedy
-    pivot set of the matrix evaluated at a fixed rational point, then
+    pivot set of the matrix evaluated at a fixed integer point, then
     single-column swaps); the running gcd stops as soon as its degree in
     the parameters reaches the predicted total degree, since the resultant
     divides every maximal minor.  If the budget runs out first, the
@@ -531,7 +536,7 @@ def resultant_gcd(
 
     rng = random.Random(_POINT_SEED)
     for _ in range(16):
-        point = {p: Fraction(rng.randint(1, 4099)) for p in phi.param_names}
+        point = {p: rng.randint(1, 4099) for p in phi.param_names}
         numeric = [
             [e.evaluate(point) for e in row] for row in sigma.entries
         ]

@@ -263,6 +263,35 @@ class TestChowTest:
     def test_missing_plane(self, capsys):
         assert main(["chow-test", "--scroll", "2,1", "--plane", "/no.json"]) == 2
 
+    def test_integer_entries(self, tmp_path, capsys):
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps([[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]]))
+        assert main(["chow-test", "--scroll", "2,1", "--plane", str(plane)]) == 10
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            [["1/0", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
+            [[0.1, "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
+            [[True, "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
+            [["x", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
+            {"10000": 0, "01000": 0, "00100": 0},
+            ["10000", "01000", "00100"],
+            "1",
+        ],
+        ids=[
+            "zero-denominator", "float", "bool", "not-a-number", "object",
+            "string-rows", "string",
+        ],
+    )
+    def test_malformed_plane(self, tmp_path, capsys, plane):
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(plane))
+        assert main(["chow-test", "--scroll", "2,1", "--plane", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad plane") and captured.err.count("\n") == 1
+
 
 class TestComplex:
     def test_minus_one_line(self, spec_file, capsys):

@@ -124,14 +124,19 @@ class TestEvaluate:
 
     def test_matches_term_summation(self):
         rng = random.Random(7)
-        for _ in range(20):
+        for t in range(30):
             p = random_poly(rng, XY)
-            pt = {"x": Fraction(rng.randint(-4, 4)), "y": Fraction(rng.randint(-4, 4))}
+            kind = (int, Fraction, lambda v: Fraction(v, rng.randint(1, 9)))[t % 3]
+            pt = {"x": kind(rng.randint(-4, 4)), "y": kind(rng.randint(-4, 4))}
             expected = sum(
                 (c * pt["x"] ** e[0] * pt["y"] ** e[1] for e, c in p.terms.items()),
                 Fraction(0),
             )
-            assert p.evaluate(pt) == expected
+            value = p.evaluate(pt)
+            assert value == expected and type(value) is Fraction
+            # full assignment agrees with two partial ones
+            partial = p.evaluate({"x": pt["x"]}).evaluate({"y": pt["y"]})
+            assert partial == Polynomial.constant(XY, expected)
 
 
 def laplace_det(matrix):

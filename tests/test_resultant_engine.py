@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -23,6 +24,7 @@ from detres.resultant_engine import (
     rational_rank,
     resultant_gcd,
     row_echelon,
+    sigma_rank,
     staircase_specialization,
     vanish_test,
 )
@@ -307,8 +309,38 @@ class TestStaircase:
             staircase_specialization(ProblemSpec(2, 2, 0, (1, 1), (0, -1)))
 
 
+def gaussian_row_echelon(matrix):
+    """Oracle: forward Gaussian elimination on Fractions, with the pivot rule
+    of ``row_echelon`` (first nonzero row, stop at full row rank)."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots, values, sign, rank = [], [], 1, 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, rows) if m[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        pv = m[rank][c]
+        for r in range(rank + 1, rows):
+            if m[r][c]:
+                f = m[r][c] / pv
+                for cc in range(c, cols):
+                    m[r][cc] -= f * m[rank][cc]
+        pivots.append(c)
+        values.append(pv)
+        rank += 1
+        if rank == rows:
+            break
+    return pivots, values, sign
+
+
 def _elimination_cases():
-    """Seeded Fraction matrices with singular, zero-column and row-swap cases."""
+    """Seeded matrices: singular, zero-column and row-swap Fraction cases,
+    rows with distinct large denominators, plain ints, zero rows, and wide
+    rank-deficient matrices, whose elimination runs through every column."""
     rng = random.Random(0xEC)
     pool = [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
     cases = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]]
@@ -327,11 +359,33 @@ def _elimination_cases():
             m[0][0] = Fraction(0)
             m[-1][0] = Fraction(rng.choice([1, -3, Fraction(2, 7)]))
         cases.append([[Fraction(x) for x in row] for row in m])
+    for t in range(24):
+        kind = t % 4
+        rows = rng.randint(2, 6)
+        cols = rows if t < 12 else rng.randint(rows, 9)
+        if kind == 0:  # a large denominator per row, distinct across rows
+            m = []
+            for _ in range(rows):
+                den = rng.randint(10**11, 10**12)
+                m.append([Fraction(rng.randint(-(10**12), 10**12), den) for _ in range(cols)])
+        else:  # plain ints
+            m = [[rng.choice([0, 0, 1, -1, 3, -7, 10**15]) for _ in range(cols)] for _ in range(rows)]
+        if kind == 2:  # zero rows
+            for r in rng.sample(range(rows), rng.randint(1, rows - 1)):
+                m[r] = [0] * cols
+        elif kind == 3:  # wide, rank at most 2: every row a combination of two
+            cols = rng.randint(rows + 2, 10)
+            a = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [rng.choice([0, Fraction(1, 5), 2]) for _ in range(cols)]
+            m = [[x * a[c] + y * b[c] for c in range(cols)] for x, y in
+                 ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rows))]
+        cases.append(m)
     return cases
 
 
 class TestRowEchelon:
-    """Rank, greedy pivot set and determinant against sympy as an oracle."""
+    """Rank, greedy pivot set and determinant against sympy as an oracle;
+    pivot entries and row-swap sign against Gaussian elimination."""
 
     @pytest.mark.parametrize("matrix", _elimination_cases())
     def test_against_sympy(self, matrix):
@@ -346,6 +400,83 @@ class TestRowEchelon:
             det = oracle.det()
             assert rational_det(matrix) == Fraction(int(det.p), int(det.q))
 
+    @pytest.mark.parametrize("matrix", _elimination_cases())
+    def test_against_gaussian(self, matrix):
+        pivots, values, sign = row_echelon(matrix)
+        assert (pivots, values, sign) == gaussian_row_echelon(matrix)
+        assert all(type(v) is Fraction for v in values)
+
     def test_empty(self):
         assert rational_rank([]) == 0
         assert rational_det([]) == 1
+
+
+#: Prime for the rank oracle: rank modulo p never exceeds the rank over Q.
+PRIME = (1 << 61) - 1
+
+
+def rank_mod_p(matrix):
+    """Rank over GF(p) of a rational matrix whose denominators p does not divide."""
+    m = [[x.numerator * pow(x.denominator, -1, PRIME) % PRIME for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, PRIME)
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] * inv % PRIME
+            if f:
+                m[r] = [(a - f * b) % PRIME for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestSigmaRank56x120:
+    """sigma_nu of spec (3,3,1), d=(2,1,1): 56 rows, 120 columns.
+
+    A nonvanishing morphism is certified by full rank modulo a prime.  A
+    vanishing one is built to have rank one at a point p; evaluation at p
+    is then a nonzero vector that every column of sigma annihilates,
+    since each column is a minor of the morphism (zero at p) times a
+    monomial."""
+
+    SPEC = ProblemSpec(3, 3, 1, (2, 1, 1), (0, 0, 0))
+
+    def morphism(self, rng, point=None):
+        varset = VarSet(("x0", "x1", "x2", "x3"))
+        rows = [
+            [{e: rng.randint(-2, 2) for e in monomials_of_degree(4, di)} for di in self.SPEC.d]
+            for _ in range(3)
+        ]
+        if point is not None:  # entry (j, i) takes the value u_j v_i at the point
+            u, v = (1, -2, 1), (2, 1, -1)
+            for j, row in enumerate(rows):
+                for i, f in enumerate(row):
+                    at_p = sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.items())
+                    f[(self.SPEC.d[i], 0, 0, 0)] += u[j] * v[i] - at_p
+        return ConcreteMorphism(
+            self.SPEC, varset, tuple(tuple(Polynomial(varset, f) for f in row) for row in rows)
+        )
+
+    def test_nonvanishing(self):
+        phi = self.morphism(random.Random(56))
+        sigma = build_sigma(self.SPEC, critical_degree(self.SPEC), phi)
+        assert sigma.shape == (56, 120)
+        assert rank_mod_p(sigma.entries) == 56
+        assert sigma_rank(self.SPEC, phi) == (sigma.d, 56, 120, 56)
+        assert vanish_test(self.SPEC, phi) is False
+
+    def test_vanishing(self):
+        point = (1, 2, -1, 3)
+        phi = self.morphism(random.Random(120), point)
+        sigma = build_sigma(self.SPEC, critical_degree(self.SPEC), phi)
+        witness = [prod(x**k for x, k in zip(point, rho)) for rho in sigma.row_basis]
+        for c in range(120):
+            assert sum(w * row[c] for w, row in zip(witness, sigma.entries)) == 0
+        # rank <= 55 by the witness, >= the rank modulo p
+        assert rank_mod_p(sigma.entries) == 55
+        result = sigma_rank(self.SPEC, phi)
+        assert (result.rank, result.vanishes) == (55, True)
+        assert vanish_test(self.SPEC, phi) is True
