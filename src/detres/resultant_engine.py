@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chern_degree import (
     ExistenceError,
@@ -39,6 +39,9 @@ from .polyring import (
 
 #: Seed for the fixed integer evaluation point used to order minors.
 _POINT_SEED = 0x5EED
+
+#: Column shuffles tried per requested minor after the two scan orders.
+_SHUFFLES_PER_MINOR = 4
 
 
 def geometric_names(spec: ProblemSpec) -> tuple[str, ...]:
@@ -352,9 +355,10 @@ def build_sigma(
                         pe = e[nv:]
                         if col[r] is None:
                             col[r] = {}
-                        col[r][pe] = col[r].get(pe, Fraction(0)) + c
+                        col[r][pe] = col[r].get(pe, 0) + c
                     else:
-                        col[r] = (col[r] or Fraction(0)) + c
+                        v = col[r]
+                        col[r] = c if v is None else v + c
                 col_basis.append((J, I, mu))
                 columns.append(col)
 
@@ -476,31 +480,37 @@ class ResultantOutput:
 
 def _candidate_column_sets(
     numeric: list[list[Fraction]], budget: int
-) -> list[list[int]]:
-    """Deterministic sequence of column sets with nonzero numeric minors.
+) -> Iterator[list[int]]:
+    """Lazily yield distinct column sets with nonzero numeric minors.
 
-    The first set is the greedy pivot set of the evaluated matrix; later
-    sets swap a single selected column (last first) for an unselected one,
-    keeping only numerically nonsingular candidates.
+    Each set is the greedy pivot set of the evaluated matrix with its
+    columns scanned in some order: left to right, then right to left, then
+    in shuffles seeded with ``_POINT_SEED``.  At most ``budget`` sets are
+    yielded, and ``_SHUFFLES_PER_MINOR * budget`` shuffles are tried; none
+    is yielded if the matrix is short of full row rank.
     """
-    base = row_echelon(numeric)[0]
-    rows = len(numeric)
-    if len(base) < rows:
-        return []
-    out = [base]
-    if budget <= 1:
-        return out
-    cols = len(numeric[0])
-    unselected = [c for c in range(cols) if c not in base]
-    for pos in range(rows - 1, -1, -1):
-        for cin in unselected:
-            cand = sorted(base[:pos] + base[pos + 1 :] + [cin])
-            sub = [[numeric[r][c] for c in cand] for r in range(rows)]
-            if len(row_echelon(sub)[0]) == rows:
-                out.append(cand)
-                if len(out) >= budget:
-                    return out
-    return out
+    rows, cols = len(numeric), len(numeric[0])
+    rng = random.Random(_POINT_SEED)
+
+    def orders() -> Iterator[list[int]]:
+        order = list(range(cols))
+        yield order
+        yield order[::-1]
+        for _ in range(_SHUFFLES_PER_MINOR * budget):
+            rng.shuffle(order)
+            yield order
+
+    seen: set[tuple[int, ...]] = set()
+    for order in orders():
+        pivots = row_echelon([[row[c] for c in order] for row in numeric])[0]
+        if len(pivots) < rows:
+            return
+        cand = sorted(order[p] for p in pivots)
+        if tuple(cand) not in seen:
+            seen.add(tuple(cand))
+            yield cand
+            if len(seen) >= budget:
+                return
 
 
 def resultant_gcd(
@@ -512,10 +522,11 @@ def resultant_gcd(
     """The determinantal resultant as a gcd of maximal minors of sigma_d.
 
     Minors are enumerated in a documented deterministic order (greedy
-    pivot set of the matrix evaluated at a fixed integer point, then
-    single-column swaps); the running gcd stops as soon as its degree in
-    the parameters reaches the predicted total degree, since the resultant
-    divides every maximal minor.  If the budget runs out first, the
+    pivot sets of the matrix evaluated at a fixed integer point, its
+    columns scanned left to right, right to left, then in seeded shuffles;
+    see ``_candidate_column_sets``); the running gcd stops as soon as its
+    degree in the parameters reaches the predicted total degree, since the
+    resultant divides every maximal minor.  If the budget runs out first, the
     running gcd is returned unconfirmed.
     """
     require_existence(spec)
@@ -541,7 +552,8 @@ def resultant_gcd(
             [e.evaluate(point) for e in row] for row in sigma.entries
         ]
         plans = _candidate_column_sets(numeric, minor_budget)
-        if plans:
+        first = next(plans, None)
+        if first is not None:
             break
     else:
         raise PolyError("could not find a nonsingular maximal minor")
@@ -550,7 +562,7 @@ def resultant_gcd(
     current: Polynomial | None = None
     used = 0
     chosen: list[tuple[int, ...]] = []
-    for cand in plans:
+    for cand in chain([first], plans):
         sub = [[sigma.entries[r][c] for c in cand] for r in range(rows)]
         minor = det_fraction_free(sub)
         if minor.is_zero():

@@ -143,6 +143,15 @@ class TestResultant:
         poly = Polynomial.from_json(data["polynomial"])
         assert poly.degree == 2
 
+    def test_macaulay_above_critical_degree_confirmed(self, spec_file, capsys):
+        # three linear forms on P^2 at nu + 2 = 3: exits 0, not 4 (budget)
+        path = spec_file("m.json", {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]})
+        assert main(["resultant", "--spec", path, "--degree", "3", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["confirmed"] is True
+        assert data["block_degrees"] == [1, 1, 1]
+        assert Polynomial.from_json(data["polynomial"]).degree == 3
+
 
 class TestVanishTest:
     def test_nonvanishing_exit_zero(self, spec_file, tmp_path, capsys):

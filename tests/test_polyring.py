@@ -163,8 +163,9 @@ class TestDeterminant:
         assert det_fraction_free([[X, Y], [z, z]]).is_zero()
 
     def test_non_square(self):
-        with pytest.raises(PolyError):
-            det_fraction_free([[X, Y]])
+        for m in ([[X, Y]], [[X, Y], [X]], [[X], [Y]], []):
+            with pytest.raises(PolyError):
+                det_fraction_free(m)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_laplace(self, n):
@@ -219,6 +220,111 @@ class TestDeterminant:
                 pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in "xy"}
                 numeric = [[e.evaluate(pt) for e in row] for row in m]
                 assert det.evaluate(pt) == rational_det(numeric)
+
+
+def sparse_matrix(rng, n, varset, density=0.6):
+    """Seeded n x n matrix of sparse polynomials with rational coefficients;
+    each row has its own denominators."""
+    nv = len(varset)
+    out = []
+    for _ in range(n):
+        den = rng.randint(1, 7)
+        row = []
+        for _ in range(n):
+            terms = {}
+            if rng.random() < density:
+                for _ in range(rng.randint(1, 3)):
+                    e = tuple(rng.randint(0, 2) for _ in range(nv))
+                    terms[e] = Fraction(rng.randint(-4, 4), den)
+            row.append(Polynomial(varset, terms))
+        out.append(row)
+    return out
+
+
+XYZ = VarSet(("x", "y", "z"))
+
+
+class TestMinorExpansion:
+    """``det_fraction_free`` against cofactor expansion and sympy."""
+
+    def test_one_by_one(self):
+        p = Polynomial(XY, {(2, 1): Fraction(-3, 4), (0, 0): Fraction(5)})
+        assert det_fraction_free([[p]]) == p
+        assert det_fraction_free([[Polynomial.zero(XY)]]).is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_sparse_matches_laplace(self, n):
+        rng = random.Random(900 + n)
+        for _ in range(4):
+            m = sparse_matrix(rng, n, XYZ)
+            assert det_fraction_free(m) == laplace_det(m)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_zero_row_and_zero_column(self, n):
+        rng = random.Random(950 + n)
+        z = Polynomial.zero(XYZ)
+        m = sparse_matrix(rng, n, XYZ, density=0.9)
+        m[n // 2] = [z] * n
+        assert det_fraction_free(m).is_zero()
+        m = sparse_matrix(rng, n, XYZ, density=0.9)
+        for row in m:
+            row[n - 1] = z
+        assert det_fraction_free(m).is_zero()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_zero_leading_corner(self, n):
+        # a zero leading 2x2 block: no nonzero entry in the top-left corner
+        rng = random.Random(970 + n)
+        z = Polynomial.zero(XYZ)
+        for _ in range(3):
+            m = sparse_matrix(rng, n, XYZ, density=0.9)
+            m[0][0] = m[0][1] = m[1][0] = m[1][1] = z
+            det = det_fraction_free(m)
+            assert det == laplace_det(m)
+            assert all(type(c) is Fraction for c in det.terms.values())
+
+    def test_distinct_row_denominators(self):
+        rng = random.Random(990)
+        m = sparse_matrix(rng, 5, XYZ, density=0.8)
+        dens = {c.denominator for row in m for p in row for c in p.terms.values()}
+        assert len(dens) > 1
+        det = det_fraction_free(m)
+        assert det == laplace_det(m)
+        for _ in range(3):
+            pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for v in "xyz"}
+            numeric = [[e.evaluate(pt) for e in row] for row in m]
+            assert det.evaluate(pt) == rational_det(numeric)
+
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    def test_matches_sympy(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        ring = sympy.QQ["x", "y", "z"]
+        rng = random.Random(1000 + n)
+        nonzero = 0
+        for _ in range(3):
+            m = sparse_matrix(rng, n, XYZ)
+            dm = DomainMatrix(
+                [
+                    [
+                        ring.ring.from_dict(
+                            {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+                        )
+                        for p in row
+                    ]
+                    for row in m
+                ],
+                (n, n),
+                ring,
+            )
+            want = {
+                e: Fraction(int(c.numerator), int(c.denominator))
+                for e, c in dm.det().items()
+            }
+            assert det_fraction_free(m).terms == want
+            nonzero += bool(want)
+        assert nonzero
 
 
 class TestDivision:

@@ -15,6 +15,7 @@ from detres.polyring import (
 )
 from detres.resultant_engine import (
     ConcreteMorphism,
+    _candidate_column_sets,
     build_sigma,
     concrete_morphism,
     critical_degree,
@@ -480,3 +481,59 @@ class TestSigmaRank56x120:
         result = sigma_rank(self.SPEC, phi)
         assert (result.rank, result.vanishes) == (55, True)
         assert vanish_test(self.SPEC, phi) is True
+
+
+def _forms_assignment(forms):
+    """Default parameter names c_1_<i>_<exponents> for n = 1 forms."""
+    return {
+        f"c_1_{i}_" + "_".join(map(str, e)): Fraction(c)
+        for i, form in enumerate(forms, start=1)
+        for e, c in form.items()
+    }
+
+
+class TestMacaulayMinorSelection:
+    """Macaulay (3,1,0) specs whose first two minors share an extra factor
+    when the candidates are single-column swaps of one pivot set."""
+
+    @pytest.mark.parametrize(
+        "d, extra",
+        [((1, 1, 1), 2), ((1, 2, 2), 0), ((1, 1, 2), 1), ((1, 1, 2), 2), ((1, 1, 3), 0)],
+    )
+    def test_confirmed_with_macaulay_blocks(self, d, extra):
+        spec = ProblemSpec(3, 1, 0, d, (0,))
+        out = resultant_gcd(spec, critical_degree(spec) + extra)
+        assert out.confirmed
+        assert out.block_degrees == tuple(
+            prod(d[:i] + d[i + 1 :]) for i in range(len(d))
+        )
+        rng = random.Random(sum(d) + 10 * extra)
+        forms = [
+            {e: rng.randint(-9, 9) for e in monomials_of_degree(3, di)} for di in d
+        ]
+        assert out.polynomial.evaluate(_forms_assignment(forms)) != 0
+        # move every form's (1, 1, 1) value into its x0^d coefficient
+        for di, f in zip(d, forms):
+            f[(di, 0, 0)] -= sum(f.values())
+        assert out.polynomial.evaluate(_forms_assignment(forms)) == 0
+
+    def test_candidates_distinct_and_nonsingular(self):
+        spec = ProblemSpec(3, 1, 0, (1, 1, 1), (0,))
+        sigma = build_sigma(spec, critical_degree(spec) + 2, generic_morphism(spec))
+        rng = random.Random(3)
+        point = {p: rng.randint(1, 99) for p in sigma.param_varset.names}
+        numeric = [[e.evaluate(point) for e in row] for row in sigma.entries]
+        rows = len(numeric)
+        sets = list(_candidate_column_sets(numeric, 8))
+        assert sets[0] == row_echelon(numeric)[0]
+        assert len(sets) == 8
+        assert len({tuple(s) for s in sets}) == 8
+        for cols in sets:
+            sub = [[numeric[r][c] for c in cols] for r in range(rows)]
+            assert rational_det(sub) != 0
+
+    def test_candidates_of_square_and_singular_matrices(self):
+        square = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+        assert list(_candidate_column_sets(square, 8)) == [[0, 1]]
+        singular = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
+        assert list(_candidate_column_sets(singular, 8)) == []

@@ -350,3 +350,69 @@ class TestChowForm:
             point = parameter_assignment(gen, phi)
             value = out.polynomial.evaluate(point)
             assert (value == 0) == plane_meets_scroll(spec, plane)
+
+
+def integer_value(poly, assign):
+    """Value of an integer polynomial at an integer point, in int arithmetic
+    (``Polynomial.evaluate`` takes seconds on the 60,600 terms of S(1,1,1))."""
+    values = [assign[name] for name in poly.varset.names]
+    assert all(v.denominator == 1 for v in values)
+    values = [v.numerator for v in values]
+    total = 0
+    for e, c in poly.terms.items():
+        assert c.denominator == 1
+        term = c.numerator
+        for v, k in zip(values, e):
+            if k:
+                term *= v**k
+        total += term
+    return total
+
+
+@pytest.fixture(
+    scope="module", params=[(2, 2), (1, 1, 1), (3, 1)], ids=["S22", "S111", "S31"]
+)
+def larger_chow(request):
+    spec = ScrollSpec(request.param)
+    return spec, chow_form(spec)
+
+
+class TestLargerChowForms:
+    """S(2,2) (6x6 sigma) and S(1,1,1) (4x4 sigma) need one minor, S(3,1)
+    (7x9 sigma) a gcd of two."""
+
+    def test_confirmed_with_formula_degrees(self, larger_chow):
+        spec, out = larger_chow
+        assert out.confirmed
+        assert out.block_degrees == (sum(spec.degrees),) * (spec.r + 1)
+        rows, cols = out.sigma.shape
+        assert out.minors_used == (1 if rows == cols else 2)
+
+    def test_zero_at_planes_through_scroll_points(self, larger_chow):
+        spec, out = larger_chow
+        gen = chow_generic_morphism(spec)
+        rng = random.Random(606)
+        for _ in range(3):
+            pt = parametrize(
+                spec,
+                (rng.randint(-3, 3), rng.randint(1, 3)),
+                tuple(rng.randint(1, 3) for _ in range(spec.r)),
+            )
+            plane = plane_through(spec, pt)
+            assert plane_meets_scroll(spec, plane)
+            point = parameter_assignment(gen, plane_morphism(spec, plane))
+            assert integer_value(out.polynomial, point) == 0
+
+    def test_nonzero_at_planes_missing_scroll(self, larger_chow):
+        spec, out = larger_chow
+        gen = chow_generic_morphism(spec)
+        rng = random.Random(607)
+        missing = 0
+        for _ in range(4):
+            plane = random_plane(rng, spec)
+            if plane_meets_scroll(spec, plane):
+                continue
+            missing += 1
+            point = parameter_assignment(gen, plane_morphism(spec, plane))
+            assert integer_value(out.polynomial, point) != 0
+        assert missing
