@@ -1,9 +1,17 @@
 """Command-line front end with JSON I/O and machine-readable exit codes.
 
 Exit codes: 0 success (or nonvanishing for the test subcommands), 10
-vanishing, 2 invalid input, 3 existence-check failure, 4 minor budget
-exhausted (unconfirmed resultant).  JSON outputs carry a top-level
-``"schema": "detres/1"`` field and are byte-deterministic for fixed inputs.
+vanishing, 2 invalid input, 3 existence-check failure, 4 unconfirmed
+resultant.  JSON outputs carry a top-level ``"schema": "detres/1"`` field
+and are byte-deterministic for fixed inputs.
+
+``resultant`` and ``chow`` compute the resultant polynomial with
+``resultant_gcd``.  Specs with r = 0, and principal specs with m = n + 1
+(every Chow form), take the complex route: the determinant of the complex
+by Cayley's formula, with ``minors_used`` the number of square
+determinants taken.  The other specs take the minors route, a gcd of at
+most ``--budget`` maximal minors; only there can the budget run out
+before the degree is reached (exit 4).
 """
 
 from __future__ import annotations
@@ -325,10 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("resultant", help="resultant as a gcd of maximal minors")
+    p = sub.add_parser("resultant", help="resultant polynomial of the generic morphism")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=int, default=8, help="maximal minors tried on the minors route")
     add_json(p)
     p.set_defaults(func=_cmd_resultant)
 
@@ -341,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chow", help="Chow matrix/form of a rational normal scroll")
     p.add_argument("--scroll", required=True, help="comma-separated degrees, e.g. 2,1")
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=int, default=8, help="unused: Chow forms take the complex route")
     p.add_argument("--matrix-only", action="store_true")
     add_json(p)
     p.set_defaults(func=_cmd_chow)

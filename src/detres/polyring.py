@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -107,7 +107,7 @@ class Polynomial:
                 raise PolyError(
                     f"exponent tuple {exps!r} does not match {nv} variables"
                 )
-            if any(e < 0 for e in exps):
+            if min(exps, default=0) < 0:
                 raise PolyError(f"negative exponent in {exps!r}")
             c = Fraction(coeff)
             if c != 0:
@@ -256,9 +256,15 @@ class Polynomial:
         for name, v in point.items():
             values[self.varset.index(name)] = v if type(v) is int else Fraction(v)
         if len(values) == len(self.varset):
+            # At an integer point the sum runs in int arithmetic, with the
+            # coefficients' denominators cleared once.
+            if all(type(v) is int for v in values.values()):
+                (terms,), den = _clear_denominators(self.terms)
+            else:
+                terms, den = self.terms, 1
             powers: dict[tuple[int, int], Fraction | int] = {}
-            total = Fraction(0)
-            for e, c in self.terms.items():
+            total = 0
+            for e, c in terms.items():
                 for i, k in enumerate(e):
                     if k:
                         p = powers.get((i, k))
@@ -266,7 +272,7 @@ class Polynomial:
                             p = powers[(i, k)] = values[i] ** k
                         c *= p
                 total += c
-            return total
+            return Fraction(total, den)
         out: dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
             for i, val in values.items():
@@ -344,7 +350,8 @@ def try_exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
     q = _dict_try_div(P, {e: c // content for e, c in D.items()})
     if q is None:
         return None
-    return Polynomial(p.varset, _dict_scale(q, Fraction(d_den, p_den * content)))
+    scale = Fraction(d_den, p_den * content)
+    return Polynomial(p.varset, q if scale == 1 else _dict_scale(q, scale))
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
@@ -508,34 +515,63 @@ def _dict_pow(a: IntDict, k: int) -> IntDict:
 
 def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
     """Exact division of integer term dicts under graded-lex; None if the
-    quotient is not an integer polynomial."""
+    quotient is not an integer polynomial.
+
+    A monomial divisor shifts the exponents.  Otherwise the dividend is
+    walked once in graded-lex order while a heap holds the pending products
+    of the quotient terms found so far with the divisor's other terms
+    (Monagan & Pearce, CASC 2007).  Heap keys are exponents negated with
+    the negated degree in front, so that tuple order is graded-lex
+    descending and a monomial product is an elementwise sum.
+    """
     if not d:
         raise PolyError("division by zero")
     if not p:
         return {}
-    de = max(d, key=glex_key)
-    dc = d[de]
-    rest = [(e, c) for e, c in d.items() if e != de]
-    r = dict(p)
-    q: IntDict = {}
-    while r:
-        re = max(r, key=glex_key)
-        te = tuple(a - b for a, b in zip(re, de))
-        if any(x < 0 for x in te):
+    if len(d) == 1:
+        ((de, dc),) = d.items()
+        q: IntDict = {}
+        for e, c in p.items():
+            te = tuple(map(sub, e, de))
+            tc, rem = divmod(c, dc)
+            if rem or min(te, default=0) < 0:
+                return None
+            q[te] = tc
+        return q
+    # Imported here so that importing detres (and starting the CLI) loads
+    # no module it did not load before.
+    from heapq import heappop, heappush
+
+    def key(e: Exponent) -> Exponent:
+        return (-sum(e),) + tuple(-x for x in e)
+
+    (lead, dc), *rest = sorted((key(e), c) for e, c in d.items())
+    dividend = sorted((key(e), c) for e, c in p.items())
+    q_keys: list[Exponent] = []
+    q_coeffs: list[int] = []
+    heap: list[tuple[Exponent, int, int]] = []
+    k = 0
+    while k < len(dividend) or heap:
+        if k < len(dividend) and (not heap or dividend[k][0] <= heap[0][0]):
+            m, c = dividend[k]
+            k += 1
+        else:
+            m, c = heap[0][0], 0
+        while heap and heap[0][0] == m:
+            _, i, j = heappop(heap)
+            c -= q_coeffs[i] * rest[j][1]
+            if j + 1 < len(rest):
+                heappush(heap, (tuple(map(add, q_keys[i], rest[j + 1][0])), i, j + 1))
+        if not c:
+            continue
+        te = tuple(map(sub, m, lead))
+        tc, rem = divmod(c, dc)
+        if rem or max(te) > 0:
             return None
-        tc, rem = divmod(r[re], dc)
-        if rem:
-            return None
-        q[te] = tc
-        del r[re]
-        for e, c in rest:
-            ee = tuple(a + b for a, b in zip(te, e))
-            s = r.get(ee, 0) - tc * c
-            if s:
-                r[ee] = s
-            elif ee in r:
-                del r[ee]
-    return q
+        q_keys.append(te)
+        q_coeffs.append(tc)
+        heappush(heap, (tuple(map(add, te, rest[0][0])), len(q_keys) - 1, 0))
+    return {tuple(-x for x in t[1:]): c for t, c in zip(q_keys, q_coeffs)}
 
 
 def _clear_denominators(*terms: Mapping[Exponent, Fraction]) -> tuple[list[IntDict], int]:
@@ -594,14 +630,6 @@ def _coeffs_in(p: IntDict, v: int) -> dict[int, IntDict]:
         k = e[v]
         e0 = e[:v] + (0,) + e[v + 1 :]
         out.setdefault(k, {})[e0] = c
-    return out
-
-
-def _from_coeffs(coeffs: dict[int, IntDict], v: int) -> IntDict:
-    out: IntDict = {}
-    for k, sub in coeffs.items():
-        for e, c in sub.items():
-            out[e[:v] + (k,) + e[v + 1 :]] = c
     return out
 
 

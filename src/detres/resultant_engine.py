@@ -1,14 +1,21 @@
-"""Resultant matrices and gcd-of-minors resultants for split morphisms.
+"""Resultant matrices, the resultant polynomial and rank tests for split morphisms.
 
 Given a morphism between split bundles on projective ``N``-space, the map
 ``sigma_d`` sends each basis element ``e_{J,I} * mu`` (a choice of ``r+1``
 rows ``J``, ``r+1`` columns ``I`` and a monomial ``mu`` of complementary
 degree) to ``Delta_{J,I} * mu``, the corresponding maximal minor of the
 morphism matrix times the monomial, expanded in the monomial basis of
-degree-``d`` forms.  For ``d`` at least the critical degree the gcd of the
-maximal minors of ``sigma_d`` is the determinantal resultant, and for a
-concrete rational morphism the resultant vanishes exactly when ``sigma_d``
-drops rank.
+degree-``d`` forms.  For ``d`` at least the critical degree, and a concrete
+rational morphism, the resultant vanishes exactly when ``sigma_d`` drops
+rank.
+
+``resultant_gcd`` computes the resultant of the generic morphism on one of
+two routes.  For r = 0 (sigma_d is the Macaulay map of the m*n entries,
+resolved by their Koszul complex) and for r = n - 1 with m = n + 1 (the
+Eagon-Northcott complex) it is the determinant of the degree-d strand of
+that complex, a quotient of square determinants by Cayley's formula
+(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  For every other spec
+it is the gcd of maximal minors of ``sigma_d``, with a minor budget.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import lcm, prod
+from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .chern_degree import (
@@ -32,12 +40,13 @@ from .polyring import (
     Polynomial,
     VarSet,
     det_fraction_free,
+    exact_div,
     monomials_of_degree,
     multivariate_gcd,
     normalize_gcd_style,
 )
 
-#: Seed for the fixed integer evaluation point used to order minors.
+#: Seed for the integer evaluation points that pick minors and blocks.
 _POINT_SEED = 0x5EED
 
 #: Column shuffles tried per requested minor after the two scan orders.
@@ -461,13 +470,19 @@ def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Resultant as a gcd of maximal minors
+# The resultant: the determinant of a complex, or a gcd of maximal minors
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ResultantOutput:
-    """Result of the gcd-of-minors computation."""
+    """The resultant polynomial and how it was computed.
+
+    ``minors_used`` counts the determinants taken: the square blocks of the
+    strand's differentials on the complex route, the maximal minors of
+    sigma on the minors route.  ``minor_columns`` holds the column sets of
+    sigma whose minors were taken; on the complex route that is ``(S_1,)``.
+    """
 
     polynomial: Polynomial
     block_degrees: tuple[int, ...]
@@ -478,8 +493,302 @@ class ResultantOutput:
     sigma: SigmaMatrix  # the matrix whose minors were taken
 
 
+def resultant_gcd(
+    spec: ProblemSpec,
+    d: int | None = None,
+    minor_budget: int = 8,
+    naming: Callable[[int, int, Exponent], str] | None = None,
+) -> ResultantOutput:
+    """The determinantal resultant of the generic morphism, from sigma_d.
+
+    Specs with r = 0, and principal specs (r = n - 1) with m = n + 1, take
+    the complex route: the resultant is the determinant of the degree-d
+    strand of the complex whose first differential is sigma_d, by Cayley's
+    formula (see ``_resultant_by_complex``); ``minor_budget`` is not used.
+    The other specs take the minors route, a gcd of at most
+    ``minor_budget`` maximal minors of sigma_d (see
+    ``_resultant_by_minors``).  On both routes ``confirmed`` says whether
+    the degree of the result equals the predicted total degree.
+    """
+    d = _resultant_degree(spec, d)
+    if minor_budget < 1:
+        raise PolyError("minor budget must be positive")
+    if _has_complex(spec):
+        return _resultant_by_complex(spec, d, naming)
+    return _resultant_by_minors(spec, d, minor_budget, naming)
+
+
+def _resultant_degree(spec: ProblemSpec, d: int | None) -> int:
+    """``d``, defaulting to the critical degree, which it may not be below."""
+    require_existence(spec)
+    nu = critical_degree(spec)
+    if d is None:
+        return nu
+    if d < nu:
+        raise PolyError(f"degree {d} is below the critical degree {nu}")
+    return d
+
+
+def _generic_sigma(
+    spec: ProblemSpec, d: int, naming: Callable[[int, int, Exponent], str] | None
+) -> tuple[GenericMorphism, SigmaMatrix]:
+    phi = generic_morphism(spec, naming)
+    sigma = build_sigma(spec, d, phi)
+    rows, cols = sigma.shape
+    if cols < rows:
+        raise PolyError(
+            f"sigma_{d} has {cols} columns for {rows} rows; degree too small"
+        )
+    return phi, sigma
+
+
+def _output(
+    spec: ProblemSpec,
+    phi: GenericMorphism,
+    sigma: SigmaMatrix,
+    poly: Polynomial,
+    used: int,
+    chosen: list[tuple[int, ...]],
+    target: int,
+) -> ResultantOutput:
+    """The output for ``poly``, confirmed when its degree is ``target``."""
+    blocks = tuple(
+        int(poly.degree_in(phi.block_names(i))) for i in range(1, spec.m + 1)
+    )
+    return ResultantOutput(
+        polynomial=poly,
+        block_degrees=blocks,
+        confirmed=poly.degree == target,
+        minors_used=used,
+        minor_columns=tuple(chosen),
+        normalization="integer content 1, positive graded-lex leading coefficient",
+        sigma=sigma,
+    )
+
+
+# -- the complex route (Cayley's formula) ------------------------------------
+
+
+def _has_complex(spec: ProblemSpec) -> bool:
+    """Whether ``complex_strand`` builds the complex of ``spec``."""
+    return spec.r == 0 or (spec.r == spec.n - 1 and spec.m == spec.n + 1)
+
+
+def complex_strand(
+    spec: ProblemSpec, d: int, phi: GenericMorphism
+) -> tuple[tuple[int, ...], list[list[list[tuple[int, int, int]]]]]:
+    """The degree-d strand 0 -> K_P -> ... -> K_1 -> K_0 -> 0 of the complex
+    whose first differential D_1 is sigma_d, for r = 0 or for r = n - 1
+    with m = n + 1.
+
+    Returns the dimensions of K_0, ..., K_P and the differentials D_2, ...,
+    D_P.  K_0 is the space of degree-d forms and K_1 has the columns of
+    sigma_d as its basis, in sigma's order.  A differential is stored by
+    source basis element: the nonzero entries of its column as (target
+    index, sign, parameter index), each entry the sign times that one
+    parameter of the generic morphism.
+
+    r = 0: the Koszul complex of the m*n entries f_a, a = (j, i) in the
+    order of sigma's columns.  K_p has the basis e_A * mu (A a p-subset of
+    the entries, lexicographic; deg mu = d - sum of deg f_a over A), and
+    ``D_p(e_A mu) = sum_t (-1)^t f_{A_t} mu e_{A - A_t}``.
+
+    r = n - 1, m = n + 1: the Eagon-Northcott complex 0 -> K_2 -> K_1 ->
+    K_0.  K_2 has the basis e_j * nu (deg nu = d - sum d + sum k + k_j),
+    and ``D_2(e_j nu) = sum_i (-1)^(i-1) phi_{j,i} nu e_{[m] - i}``;
+    sigma_d D_2 = 0 is the Laplace expansion of a matrix with row j
+    repeated.
+    """
+    if not _has_complex(spec):
+        raise PolyError("the complex is built only for r = 0 or r = n-1, m = n+1")
+    # Each K_p (p >= 1) as groups (key, degree of mu, faces): the basis
+    # elements e_key * mu, and D_p(e_key mu) = sum of sign * f * mu e_target
+    # over the faces (target key, sign, entry f).
+    if spec.r == 0:
+        gens = [(j, i) for j in range(1, spec.n + 1) for i in range(1, spec.m + 1)]
+        degs = [spec.d[i - 1] - spec.k[j - 1] for j, i in gens]
+        terms = (
+            [
+                (
+                    A,
+                    d - sum(degs[a] for a in A),
+                    [(A[:t] + A[t + 1 :], (-1) ** t, gens[a]) for t, a in enumerate(A)],
+                )
+                for A in combinations(range(len(gens)), p)
+            ]
+            for p in range(1, len(gens) + 1)
+        )
+    else:
+        m, ks = spec.m, sum(spec.k)
+        terms = [
+            [
+                (I, d - sum(spec.d[i - 1] for i in I) + ks, [])
+                for I in combinations(range(1, m + 1), spec.n)
+            ],
+            [
+                (
+                    j,
+                    d - sum(spec.d) + ks + spec.k[j - 1],
+                    [
+                        (tuple(x for x in range(1, m + 1) if x != i), (-1) ** (i - 1), (j, i))
+                        for i in range(1, m + 1)
+                    ],
+                )
+                for j in range(1, spec.n + 1)
+            ],
+        ]
+    param = {name: t for t, name in enumerate(phi.param_names)}
+    entries: dict[tuple[int, int], list] = {}  # (j, i) -> [(exponent, parameter)]
+    for (j, i, exps), name in phi.coeff_names.items():
+        entries.setdefault((j, i), []).append((exps, param[name]))
+    nv = spec.N + 1
+    dims = [len(monomials_of_degree(nv, d))]
+    maps = []
+    index: dict = {}
+    for groups in terms:
+        basis = [
+            (key, mu)
+            for key, deg, _ in groups
+            if deg >= 0
+            for mu in monomials_of_degree(nv, deg)
+        ]
+        # Every entry has positive degree, so no later term has a basis.
+        if not basis:
+            break
+        if index:  # D_1 is sigma_d itself
+            faces = {key: f for key, _, f in groups}
+            maps.append(
+                [
+                    [
+                        (index[(target, tuple(map(add, mu, e)))], sign, t)
+                        for target, sign, f in faces[key]
+                        for e, t in entries[f]
+                    ]
+                    for key, mu in basis
+                ]
+            )
+        dims.append(len(basis))
+        index = {b: c for c, b in enumerate(basis)}
+    return tuple(dims), maps
+
+
+def _points(phi: GenericMorphism) -> Iterator[list[int]]:
+    """The integer parameter points tried in turn, drawn from ``_POINT_SEED``."""
+    rng = random.Random(_POINT_SEED)
+    for _ in range(16):
+        yield [rng.randint(1, 4099) for _ in phi.param_names]
+
+
+def _sigma_at(sigma: SigmaMatrix, point: Sequence[int]) -> list[list[int]]:
+    """The symbolic sigma_d (its entries have integer coefficients) at an
+    integer parameter point, in int arithmetic."""
+    out = []
+    for row in sigma.entries:
+        values = []
+        for p in row:
+            total = 0
+            for e, c in p.terms.items():
+                v = c.numerator
+                for x, k in zip(point, e):
+                    if k:
+                        v *= x**k
+                total += v
+            values.append(total)
+        out.append(values)
+    return out
+
+
+def _compatible_blocks(
+    sigma: SigmaMatrix, dims: Sequence[int], maps: Sequence, point: Sequence[int]
+) -> list[tuple[list[int], list[int]]] | None:
+    """Rows and columns of the square blocks of D_1, D_2, ... at ``point``.
+
+    Block 1 is sigma_d on all rows and its greedy pivot columns S_1; block
+    p takes the rows of D_p outside S_{p-1} and the greedy pivot columns
+    S_p of D_p on them.  None when some block falls short of full row rank
+    at ``point`` or S_P misses part of the top term: then the strand is not
+    exact there.
+    """
+    rows = list(range(dims[0]))
+    cols = row_echelon(_sigma_at(sigma, point))[0]
+    if len(cols) < len(rows):
+        return None
+    blocks = [(rows, cols)]
+    for p, D in enumerate(maps, start=2):
+        chosen = set(cols)
+        rows = [r for r in range(dims[p - 1]) if r not in chosen]
+        at = {r: t for t, r in enumerate(rows)}
+        values = [[0] * len(D) for _ in rows]
+        for c, col in enumerate(D):
+            for r, sign, t in col:
+                if r in at:
+                    values[at[r]][c] = sign * point[t]
+        cols = row_echelon(values)[0]
+        if len(cols) < len(rows):
+            return None
+        blocks.append((rows, cols))
+    if len(cols) < dims[-1]:
+        return None
+    return blocks
+
+
+def _resultant_by_complex(
+    spec: ProblemSpec,
+    d: int,
+    naming: Callable[[int, int, Exponent], str] | None = None,
+) -> ResultantOutput:
+    """The resultant as the determinant of the degree-d strand (Cayley).
+
+    With compatible square blocks B_p of the differentials (see
+    ``_compatible_blocks``, at a point drawn from ``_POINT_SEED`` and
+    redrawn up to 16 times), the determinant of the complex is the product
+    of det(B_p) over odd p divided, exactly, by the product over even p
+    (Gelfand, Kapranov & Zelevinsky, 1994, Appendix A); for d at least the
+    critical degree it is the resultant.  A square sigma_d with no further
+    term gives det(sigma_d) without a point.
+    """
+    phi, sigma = _generic_sigma(spec, d, naming)
+    dims, maps = complex_strand(spec, d, phi)
+    if dims[0] == dims[1] and not maps:
+        blocks = [(list(range(dims[0])), list(range(dims[1])))]
+    else:
+        for point in _points(phi):
+            blocks = _compatible_blocks(sigma, dims, maps, point)
+            if blocks is not None:
+                break
+        else:
+            raise PolyError("could not find compatible nonsingular blocks")
+    pv = sigma.param_varset
+    assert pv is not None
+    params = [Polynomial.variable(pv, name) for name in pv.names]
+    odd: list[Polynomial] = []
+    even: list[Polynomial] = []
+    for p, (rows, cols) in enumerate(blocks, start=1):
+        if not rows:
+            continue
+        if p == 1:
+            matrix = [[sigma.entries[r][c] for c in cols] for r in rows]
+        else:
+            at = {r: u for u, r in enumerate(rows)}
+            matrix = [[Polynomial.zero(pv)] * len(cols) for _ in rows]
+            for v, c in enumerate(cols):
+                for r, sign, t in maps[p - 2][c]:
+                    if r in at:
+                        matrix[at[r]][v] = params[t] if sign > 0 else -params[t]
+        (odd if p % 2 else even).append(det_fraction_free(matrix))
+    res = prod(odd[1:], start=odd[0])
+    if even:
+        res = exact_div(res, prod(even[1:], start=even[0]))
+    res = normalize_gcd_style(res)
+    used = len(odd) + len(even)
+    return _output(spec, phi, sigma, res, used, [tuple(blocks[0][1])], total_degree(spec))
+
+
+# -- the minors route (gcd of maximal minors) --------------------------------
+
+
 def _candidate_column_sets(
-    numeric: list[list[Fraction]], budget: int
+    numeric: Sequence[Sequence[Fraction | int]], budget: int
 ) -> Iterator[list[int]]:
     """Lazily yield distinct column sets with nonzero numeric minors.
 
@@ -513,13 +822,13 @@ def _candidate_column_sets(
                 return
 
 
-def resultant_gcd(
+def _resultant_by_minors(
     spec: ProblemSpec,
-    d: int | None = None,
+    d: int,
     minor_budget: int = 8,
     naming: Callable[[int, int, Exponent], str] | None = None,
 ) -> ResultantOutput:
-    """The determinantal resultant as a gcd of maximal minors of sigma_d.
+    """The resultant as a gcd of maximal minors of sigma_d.
 
     Minors are enumerated in a documented deterministic order (greedy
     pivot sets of the matrix evaluated at a fixed integer point, its
@@ -529,29 +838,10 @@ def resultant_gcd(
     resultant divides every maximal minor.  If the budget runs out first, the
     running gcd is returned unconfirmed.
     """
-    require_existence(spec)
-    nu = critical_degree(spec)
-    if d is None:
-        d = nu
-    if d < nu:
-        raise PolyError(f"degree {d} is below the critical degree {nu}")
-    if minor_budget < 1:
-        raise PolyError("minor budget must be positive")
-    phi = generic_morphism(spec, naming)
-    sigma = build_sigma(spec, d, phi)
-    rows, cols = sigma.shape
-    if cols < rows:
-        raise PolyError(
-            f"sigma_{d} has {cols} columns for {rows} rows; degree too small"
-        )
-
-    rng = random.Random(_POINT_SEED)
-    for _ in range(16):
-        point = {p: rng.randint(1, 4099) for p in phi.param_names}
-        numeric = [
-            [e.evaluate(point) for e in row] for row in sigma.entries
-        ]
-        plans = _candidate_column_sets(numeric, minor_budget)
+    phi, sigma = _generic_sigma(spec, d, naming)
+    rows = len(sigma.entries)
+    for point in _points(phi):
+        plans = _candidate_column_sets(_sigma_at(sigma, point), minor_budget)
         first = next(plans, None)
         if first is not None:
             break
@@ -580,20 +870,7 @@ def resultant_gcd(
             break
 
     assert current is not None
-    confirmed = current.degree == target
-    blocks = tuple(
-        int(current.degree_in(phi.block_names(i)))
-        for i in range(1, spec.m + 1)
-    )
-    return ResultantOutput(
-        polynomial=current,
-        block_degrees=blocks,
-        confirmed=confirmed,
-        minors_used=used,
-        minor_columns=tuple(chosen),
-        normalization="integer content 1, positive graded-lex leading coefficient",
-        sigma=sigma,
-    )
+    return _output(spec, phi, sigma, current, used, chosen, target)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from detres.polyring import (
     PolyError,
     Polynomial,
     VarSet,
+    _dict_add,
+    _dict_mul,
+    _dict_try_div,
     det_fraction_free,
     exact_div,
     glex_key,
@@ -137,6 +140,21 @@ class TestEvaluate:
             # full assignment agrees with two partial ones
             partial = p.evaluate({"x": pt["x"]}).evaluate({"y": pt["y"]})
             assert partial == Polynomial.constant(XY, expected)
+
+
+    def test_rational_coefficients_at_integer_point(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            terms = {}
+            for _ in range(4):
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            p = Polynomial(XY, terms)
+            x, y = rng.randint(-4, 4), rng.randint(-4, 4)
+            value = p.evaluate({"x": x, "y": y})
+            expected = sum((c * x ** e[0] * y ** e[1] for e, c in terms.items()), Fraction(0))
+            assert value == expected
+            assert type(value) is Fraction
 
 
 def laplace_det(matrix):
@@ -359,6 +377,91 @@ class TestDivision:
         p = Fraction(1, 3) * X * X + Fraction(2, 5) * Y
         assert try_exact_div(p, Fraction(3, 7) * X + Fraction(1, 2)) is None
         assert try_exact_div(p + Fraction(1, 9), Fraction(1, 3) * X) is None
+
+
+def quadratic_try_div(p, d):
+    """Reference division: after every quotient term, rescan the whole
+    remainder for its graded-lex leading term."""
+    de = max(d, key=glex_key)
+    dc = d[de]
+    rest = [(e, c) for e, c in d.items() if e != de]
+    r = dict(p)
+    q = {}
+    while r:
+        re = max(r, key=glex_key)
+        te = tuple(a - b for a, b in zip(re, de))
+        if any(x < 0 for x in te):
+            return None
+        tc, rem = divmod(r[re], dc)
+        if rem:
+            return None
+        q[te] = tc
+        del r[re]
+        for e, c in rest:
+            ee = tuple(a + b for a, b in zip(te, e))
+            s = r.get(ee, 0) - tc * c
+            if s:
+                r[ee] = s
+            elif ee in r:
+                del r[ee]
+    return q
+
+
+def random_int_dict(rng, nv, nterms, max_deg=3):
+    out = {}
+    for _ in range(nterms):
+        c = rng.randint(-6, 6)
+        if c:
+            out[tuple(rng.randint(0, max_deg) for _ in range(nv))] = c
+    return out
+
+
+class TestHeapDivision:
+    """``_dict_try_div`` against the quadratic rescanning loop."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_quadratic_loop(self, seed):
+        rng = random.Random(seed)
+        seen = {"exact": 0, "none": 0, "monomial": 0, "negative_lead": 0}
+        for _ in range(60):
+            nv = rng.randint(1, 4)
+            d = random_int_dict(rng, nv, rng.choice([1, 1, 2, 3, 5]))
+            if not d:
+                continue
+            if rng.random() < 0.5:
+                lead = max(d, key=glex_key)
+                d[lead] = -abs(d[lead])
+            q = random_int_dict(rng, nv, rng.randint(1, 8))
+            p = _dict_mul(d, q)
+            bumped = dict(p)
+            if bumped:
+                e = rng.choice(sorted(bumped))
+                bumped[e] += 1  # a quotient coefficient that is not an integer
+            dividends = [
+                p,
+                _dict_add(p, random_int_dict(rng, nv, 3)),
+                bumped,
+                {e: 2 * c for e, c in p.items()},
+                random_int_dict(rng, nv, 6),
+            ]
+            for dividend in dividends:
+                dividend = {e: c for e, c in dividend.items() if c}
+                want = quadratic_try_div(dividend, d) if dividend else {}
+                assert _dict_try_div(dividend, d) == want
+                seen["exact" if want is not None else "none"] += 1
+            seen["monomial"] += len(d) == 1
+            seen["negative_lead"] += d[max(d, key=glex_key)] < 0
+        assert all(seen.values()), seen
+
+    def test_monomial_divisor_shifts_exponents(self):
+        assert _dict_try_div({(3, 1): 6, (2, 2): -4}, {(1, 1): -2}) == {(2, 0): -3, (1, 1): 2}
+        assert _dict_try_div({(3, 1): 6, (0, 2): 4}, {(1, 1): 2}) is None
+        assert _dict_try_div({(3, 1): 5}, {(1, 1): 2}) is None
+
+    def test_zero_operands(self):
+        assert _dict_try_div({}, {(1,): 3}) == {}
+        with pytest.raises(PolyError):
+            _dict_try_div({(1,): 3}, {})
 
 
 class TestGcd:

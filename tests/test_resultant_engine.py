@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
 import pytest
 
+from detres import polyring, resultant_engine
 from detres.chern_degree import ExistenceError, ProblemSpec, multidegree, total_degree
 from detres.polyring import (
     PolyError,
@@ -16,10 +18,13 @@ from detres.polyring import (
 from detres.resultant_engine import (
     ConcreteMorphism,
     _candidate_column_sets,
+    _resultant_by_minors,
     build_sigma,
+    complex_strand,
     concrete_morphism,
     critical_degree,
     generic_morphism,
+    letter_naming,
     parameter_assignment,
     rational_det,
     rational_rank,
@@ -29,6 +34,7 @@ from detres.resultant_engine import (
     staircase_specialization,
     vanish_test,
 )
+from detres.scroll_chow import ScrollSpec, chow_problem
 
 
 def sylvester_spec(d1, d2):
@@ -494,11 +500,20 @@ def _forms_assignment(forms):
 
 class TestMacaulayMinorSelection:
     """Macaulay (3,1,0) specs whose first two minors share an extra factor
-    when the candidates are single-column swaps of one pivot set."""
+    when the candidates are single-column swaps of one pivot set.  The
+    resultant must confirm, vanish on forms with a common zero and not on
+    generic forms; the candidate tests cover the minors route's selection."""
 
     @pytest.mark.parametrize(
         "d, extra",
-        [((1, 1, 1), 2), ((1, 2, 2), 0), ((1, 1, 2), 1), ((1, 1, 2), 2), ((1, 1, 3), 0)],
+        [
+            ((1, 1, 1), 2),
+            ((1, 2, 2), 0),
+            ((1, 1, 2), 1),
+            ((1, 1, 2), 2),
+            ((1, 1, 3), 0),
+            ((1, 2, 2), 1),
+        ],
     )
     def test_confirmed_with_macaulay_blocks(self, d, extra):
         spec = ProblemSpec(3, 1, 0, d, (0,))
@@ -537,3 +552,133 @@ class TestMacaulayMinorSelection:
         assert list(_candidate_column_sets(square, 8)) == [[0, 1]]
         singular = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
         assert list(_candidate_column_sets(singular, 8)) == []
+
+
+def chow_spec(*degrees):
+    """The Chow-form problem of the scroll S(degrees): m = n + 1, r = n - 1."""
+    return chow_problem(ScrollSpec(degrees))
+
+
+def spec_id(spec):
+    return f"{spec.m}{spec.n}{spec.r}-d{''.join(map(str, spec.d))}-k{''.join(map(str, spec.k))}"
+
+
+#: Specs with small strands: Koszul (r = 0) and Eagon-Northcott (m = n + 1).
+STRAND_SPECS = [
+    sylvester_spec(1, 2),
+    ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
+    ProblemSpec(2, 2, 0, (1, 1), (0, 0)),
+    ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0)),
+    chow_spec(2, 1),
+]
+
+
+def refuse_gcd(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multivariate_gcd reached on the complex route")
+
+    monkeypatch.setattr(polyring, "multivariate_gcd", refuse)
+    monkeypatch.setattr(resultant_engine, "multivariate_gcd", refuse)
+
+
+class TestComplexStrand:
+    @pytest.mark.parametrize("spec", STRAND_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_dimensions(self, spec, extra):
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        dims, maps = complex_strand(spec, d, phi)
+        assert dims[:2] == build_sigma(spec, d, phi).shape
+        assert sum((-1) ** p * dim for p, dim in enumerate(dims)) == 0
+        assert len(dims) == len(maps) + 2
+        for p, D in enumerate(maps, start=2):
+            assert len(D) == dims[p]
+            assert all(0 <= r < dims[p - 1] for col in D for r, _, _ in col)
+
+    @pytest.mark.parametrize("spec", STRAND_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_differentials_compose_to_zero(self, spec, extra):
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        sigma = build_sigma(spec, d, phi)
+        _, maps = complex_strand(spec, d, phi)
+        pv = sigma.param_varset
+        params = [Polynomial.variable(pv, name) for name in pv.names]
+        zero = Polynomial.zero(pv)
+        if maps:
+            for col in maps[0]:
+                for row in sigma.entries:
+                    assert sum((sign * row[k] * params[t] for k, sign, t in col), zero).is_zero()
+        for lower, upper in zip(maps, maps[1:]):
+            for col in upper:
+                acc = Counter()
+                for k, s1, t1 in col:
+                    for r, s2, t2 in lower[k]:
+                        acc[(r, min(t1, t2), max(t1, t2))] += s1 * s2
+                assert not any(acc.values())
+
+    def test_other_specs_rejected(self):
+        spec = ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0))
+        with pytest.raises(PolyError):
+            complex_strand(spec, critical_degree(spec), generic_morphism(spec))
+
+
+#: (spec, degree above nu, letter names): the acceptance goldens, the six
+#: ``resultant`` benchmark inputs and the Chow forms of small scrolls.
+COMPLEX_CASES = [
+    (sylvester_spec(1, 1), 0, False),
+    (sylvester_spec(1, 2), 0, False),
+    (sylvester_spec(2, 2), 0, False),
+    (sylvester_spec(2, 3), 2, False),
+    (sylvester_spec(2, 2), 3, False),
+    (sylvester_spec(3, 3), 1, False),
+    (ProblemSpec(3, 1, 0, (1, 1, 2), (0,)), 0, False),
+    (ProblemSpec(3, 1, 0, (1, 1, 1), (0,)), 1, False),
+    (ProblemSpec(3, 1, 0, (1, 1, 1), (0,)), 2, False),
+    (chow_spec(2), 0, True),
+    (chow_spec(3), 0, True),
+    (chow_spec(1, 1), 0, True),
+    (chow_spec(2, 1), 0, True),
+    (chow_spec(1, 2), 0, True),
+]
+
+
+class TestComplexRoute:
+    @pytest.mark.parametrize(
+        "spec, extra, letters",
+        COMPLEX_CASES,
+        ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra, _ in COMPLEX_CASES],
+    )
+    def test_matches_minors_route(self, monkeypatch, spec, extra, letters):
+        d = critical_degree(spec) + extra
+
+        def naming():
+            return letter_naming() if letters else None
+
+        with monkeypatch.context() as patch:
+            refuse_gcd(patch)
+            out = resultant_gcd(spec, d, naming=naming())
+        oracle = _resultant_by_minors(spec, d, naming=naming())
+        assert out.confirmed and oracle.confirmed
+        assert out.polynomial.terms == oracle.polynomial.terms
+        assert out.block_degrees == oracle.block_degrees
+        assert out.minor_columns == oracle.minor_columns[:1]
+
+    def test_square_sigma_takes_its_determinant(self, monkeypatch):
+        # no point is drawn: evaluation and elimination are never reached
+        def refuse(*args):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(resultant_engine, "row_echelon", refuse)
+        out = resultant_gcd(chow_spec(1, 1), naming=letter_naming())
+        assert out.confirmed
+        assert (out.minors_used, out.minor_columns) == (1, ((0, 1, 2),))
+
+    def test_other_specs_take_the_minors_route(self, monkeypatch):
+        spec = ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0))
+        calls = []
+        monkeypatch.setattr(
+            resultant_engine, "_resultant_by_minors", lambda *args: calls.append(args)
+        )
+        resultant_gcd(spec)
+        assert calls == [(spec, critical_degree(spec), 8, None)]

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from detres import polyring, resultant_engine
 from detres.chern_degree import ExistenceError
 from detres.polyring import Polynomial, VarSet
-from detres.resultant_engine import parameter_assignment
+from detres.resultant_engine import (
+    _resultant_by_minors,
+    critical_degree,
+    letter_naming,
+    parameter_assignment,
+)
 from detres.scroll_chow import (
     PlaneStiefel,
     ScrollSpec,
@@ -374,12 +380,27 @@ def integer_value(poly, assign):
 )
 def larger_chow(request):
     spec = ScrollSpec(request.param)
-    return spec, chow_form(spec)
+
+    def refuse(*args):
+        raise AssertionError("multivariate_gcd reached on the complex route")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyring, "multivariate_gcd", refuse)
+        patch.setattr(resultant_engine, "multivariate_gcd", refuse)
+        return spec, chow_form(spec)
 
 
 class TestLargerChowForms:
-    """S(2,2) (6x6 sigma) and S(1,1,1) (4x4 sigma) need one minor, S(3,1)
-    (7x9 sigma) a gcd of two."""
+    """S(2,2) (6x6 sigma) and S(1,1,1) (4x4 sigma) are one determinant;
+    S(3,1) (7x9 sigma) is det(sigma on S_1) over a 2x2 determinant of D_2."""
+
+    def test_matches_minors_route(self, larger_chow):
+        spec, out = larger_chow
+        problem = chow_problem(spec)
+        oracle = _resultant_by_minors(problem, critical_degree(problem), naming=letter_naming())
+        assert oracle.confirmed
+        assert out.polynomial.terms == oracle.polynomial.terms
+        assert out.block_degrees == oracle.block_degrees
 
     def test_confirmed_with_formula_degrees(self, larger_chow):
         spec, out = larger_chow
