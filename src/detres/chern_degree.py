@@ -1,18 +1,23 @@
-"""Degree formulas for determinantal resultants via truncated Chern calculus.
+"""Degree formulas for determinantal resultants.
 
-The cohomology model is ``Z[h]/(h^(N+1))`` extended by terms linear in the
-per-column hyperplane classes ``alpha_i``; products of two alpha terms are
-identically dropped, since only alpha-linear coefficients are ever read off.
-Formal series in ``t`` with such coefficients support multiplication,
-inversion and the banded determinant used by the Thom-Porteous degree
-formula.  Extracting the coefficient of ``h^N`` implements the degree map of
-projective ``N``-space.
+With ``p = m - r`` and ``q = n - r``, the degree ``N_i`` of the resultant in
+the coefficients of column ``i`` is ``(-1)^(pq)`` times the coefficient of
+``alpha_i h^N`` in the banded ``q x q`` determinant ``det(c_{p-a+b})`` of the
+Chern series ``prod_i (1 - (d_i h + alpha_i) t) / prod_j (1 - k_j h t)``;
+``h`` is the hyperplane class of projective ``N``-space and ``alpha_i`` that
+of column ``i``'s parameter space.
+
+Giving ``t`` weight -1 makes every factor homogeneous of weight 0, so ``c_s``
+is homogeneous of degree ``s`` in ``(h, alpha)`` and the determinant of
+degree ``pq = N + 1``.  Its ``alpha_i``-linear part is therefore a multiple
+of ``alpha_i h^N``, and setting ``h = 1`` leaves that multiple unchanged.
+So the series and the determinant are computed over dual numbers of Z:
+``h = 1`` and every product ``alpha_i alpha_j`` is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 
 class ExistenceError(ValueError):
@@ -90,255 +95,28 @@ def require_existence(spec: ProblemSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Truncated classes and series
-# ---------------------------------------------------------------------------
-
-
-class TruncatedClass:
-    """Element of Z[h]/(h^(trunc+1)) plus alpha-linear terms.
-
-    ``pure`` holds the coefficients of ``h^0 .. h^trunc``; ``alpha`` maps an
-    alpha index to the coefficient list of its h-polynomial.  Multiplication
-    drops every alpha-quadratic term.
-    """
-
-    __slots__ = ("trunc", "pure", "alpha")
-
-    def __init__(
-        self,
-        trunc: int,
-        pure: Sequence[int] | None = None,
-        alpha: Mapping[int, Sequence[int]] | None = None,
-    ):
-        self.trunc = trunc
-        self.pure = self._fit(pure or [])
-        self.alpha = {}
-        for i, coeffs in (alpha or {}).items():
-            c = self._fit(coeffs)
-            if any(c):
-                self.alpha[i] = c
-
-    def _fit(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        c = list(coeffs[: self.trunc + 1])
-        c += [0] * (self.trunc + 1 - len(c))
-        return tuple(c)
-
-    @classmethod
-    def zero(cls, trunc: int) -> "TruncatedClass":
-        return cls(trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "TruncatedClass":
-        return cls(trunc, [1])
-
-    def is_zero(self) -> bool:
-        return not any(self.pure) and not self.alpha
-
-    def is_one(self) -> bool:
-        return (
-            self.pure[0] == 1 and not any(self.pure[1:]) and not self.alpha
-        )
-
-    def __add__(self, other: "TruncatedClass") -> "TruncatedClass":
-        assert self.trunc == other.trunc
-        pure = [a + b for a, b in zip(self.pure, other.pure)]
-        alpha = {i: list(c) for i, c in self.alpha.items()}
-        for i, c in other.alpha.items():
-            if i in alpha:
-                alpha[i] = [a + b for a, b in zip(alpha[i], c)]
-            else:
-                alpha[i] = list(c)
-        return TruncatedClass(self.trunc, pure, alpha)
-
-    def __neg__(self) -> "TruncatedClass":
-        return TruncatedClass(
-            self.trunc,
-            [-a for a in self.pure],
-            {i: [-a for a in c] for i, c in self.alpha.items()},
-        )
-
-    def __sub__(self, other: "TruncatedClass") -> "TruncatedClass":
-        return self + (-other)
-
-    @staticmethod
-    def _polymul(a: Sequence[int], b: Sequence[int], trunc: int) -> list[int]:
-        out = [0] * (trunc + 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if i + j > trunc:
-                    break
-                out[i + j] += x * y
-        return out
-
-    def __mul__(self, other: "TruncatedClass") -> "TruncatedClass":
-        assert self.trunc == other.trunc
-        t = self.trunc
-        pure = self._polymul(self.pure, other.pure, t)
-        alpha: dict[int, list[int]] = {}
-        for i, c in self.alpha.items():
-            alpha[i] = self._polymul(c, other.pure, t)
-        for i, c in other.alpha.items():
-            add = self._polymul(self.pure, c, t)
-            if i in alpha:
-                alpha[i] = [a + b for a, b in zip(alpha[i], add)]
-            else:
-                alpha[i] = add
-        # alpha x alpha products are dropped here by construction
-        return TruncatedClass(t, pure, alpha)
-
-    def alpha_coeff(self, i: int) -> tuple[int, ...]:
-        """h-coefficients of the alpha_i-linear part."""
-        return self.alpha.get(i, (0,) * (self.trunc + 1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedClass):
-            return NotImplemented
-        return (
-            self.trunc == other.trunc
-            and self.pure == other.pure
-            and self.alpha == other.alpha
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedClass(pure={self.pure}, alpha={self.alpha})"
-
-
-class TruncatedSeries:
-    """Formal series in ``t`` with TruncatedClass coefficients, cut at cap."""
-
-    __slots__ = ("trunc", "cap", "coeffs")
-
-    def __init__(self, trunc: int, cap: int, coeffs: Sequence[TruncatedClass]):
-        self.trunc = trunc
-        self.cap = cap
-        cs = list(coeffs[: cap + 1])
-        while len(cs) < cap + 1:
-            cs.append(TruncatedClass.zero(trunc))
-        self.coeffs = cs
-
-    @classmethod
-    def one(cls, trunc: int, cap: int) -> "TruncatedSeries":
-        return cls(trunc, cap, [TruncatedClass.one(trunc)])
-
-    def coeff(self, j: int) -> TruncatedClass:
-        """Series coefficient c_j; zero outside ``0..cap``."""
-        if 0 <= j <= self.cap:
-            return self.coeffs[j]
-        return TruncatedClass.zero(self.trunc)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert (self.trunc, self.cap) == (other.trunc, other.cap)
-        out = [TruncatedClass.zero(self.trunc) for _ in range(self.cap + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(self.cap + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.trunc, self.cap, out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.trunc == other.trunc
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse up to the cap; the constant term must be 1."""
-    if not s.coeff(0).is_one():
-        raise ExistenceError("series inverse requires unit constant term")
-    trunc, cap = s.trunc, s.cap
-    inv = [TruncatedClass.one(trunc)]
-    for j in range(1, cap + 1):
-        acc = TruncatedClass.zero(trunc)
-        for i in range(1, j + 1):
-            acc = acc + s.coeff(i) * inv[j - i]
-        inv.append(-acc)
-    return TruncatedSeries(trunc, cap, inv)
-
-
-def chern_poly_split(
-    twists: Sequence[int],
-    trunc: int,
-    cap: int,
-    with_alpha: bool = False,
-    alpha_offset: int = 1,
-) -> TruncatedSeries:
-    """Chern series of a split sum of twists ``O(-d_i)`` on P^trunc.
-
-    Without alpha: ``prod_i (1 - d_i h t)``.  With alpha each factor picks
-    up the hyperplane class of its own column space: ``prod_i (1 - (d_i h +
-    alpha_i) t)``, alpha indices starting at ``alpha_offset``.
-    """
-    out = TruncatedSeries.one(trunc, cap)
-    for pos, d in enumerate(twists):
-        lin = TruncatedClass(
-            trunc,
-            [0, -d],
-            {alpha_offset + pos: [-1]} if with_alpha else None,
-        )
-        factor = TruncatedSeries(
-            trunc, cap, [TruncatedClass.one(trunc), lin]
-        )
-        out = out * factor
-    return out
-
-
-def _tc_det(rows: list[list[TruncatedClass]], trunc: int) -> TruncatedClass:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = TruncatedClass.zero(trunc)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sub = _tc_det(minor, trunc)
-        term = rows[0][j] * sub
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
-def delta_pq(s: TruncatedSeries, p: int, q: int) -> TruncatedClass:
-    """The banded q x q determinant ``det(c_{p-a+b}(s))`` of the series.
-
-    Row ``a`` (0-based from the top) is ``c_{p-a}, ..., c_{p-a+q-1}``, so
-    the first row reads ``c_p .. c_{p+q-1}``.
-    """
-    if p < 1 or q < 1:
-        raise ExistenceError("delta_pq requires p, q >= 1")
-    rows = [[s.coeff(p - a + b) for b in range(q)] for a in range(q)]
-    return _tc_det(rows, s.trunc)
-
-
-# ---------------------------------------------------------------------------
 # Degrees
 # ---------------------------------------------------------------------------
 
 
-def _delta_class(spec: ProblemSpec) -> TruncatedClass:
-    trunc = spec.N
-    p, q = spec.m - spec.r, spec.n - spec.r
-    cap = max(spec.m + spec.n, p + q - 1, trunc)
-    num = chern_poly_split(spec.d, trunc, cap, with_alpha=True)
-    den = chern_poly_split(spec.k, trunc, cap, with_alpha=False)
-    return delta_pq(num * series_inverse(den), p, q)
+def _dual_mul(x: list[int], y: list[int]) -> list[int]:
+    """Product of dual numbers ``[pure, alpha_1 part, ..., alpha_m part]``."""
+    x0, y0 = x[0], y[0]
+    return [x0 * y0] + [x0 * b + y0 * a for a, b in zip(x[1:], y[1:])]
 
 
-def multidegree_signed(spec: ProblemSpec) -> tuple[int, ...]:
-    """Raw alpha_i coefficients of h^N of the banded determinant (no sign)."""
-    require_existence(spec)
-    delta = _delta_class(spec)
-    return tuple(
-        delta.alpha_coeff(i)[spec.N] for i in range(1, spec.m + 1)
-    )
+def _dual_det(rows: list[list[list[int]]]) -> list[int]:
+    """Laplace expansion along the first row of a matrix of dual numbers."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = [0] * len(rows[0][0])
+    for j, x in enumerate(rows[0]):
+        if not any(x):
+            continue
+        term = _dual_mul(x, _dual_det([row[:j] + row[j + 1 :] for row in rows[1:]]))
+        sign = -1 if j % 2 else 1
+        acc = [a + sign * b for a, b in zip(acc, term)]
+    return acc
 
 
 def multidegree(spec: ProblemSpec) -> tuple[int, ...]:
@@ -346,36 +124,24 @@ def multidegree(spec: ProblemSpec) -> tuple[int, ...]:
 
     ``N_i = (-1)^((m-r)(n-r))`` times the alpha_i, h^N coefficient of the
     banded determinant of ``prod(1 - (d_i h + alpha_i) t) / prod(1 - k_j h
-    t)``.
+    t)`` (module docstring).
     """
-    sign = -1 if ((spec.m - spec.r) * (spec.n - spec.r)) % 2 else 1
-    return tuple(sign * x for x in multidegree_signed(spec))
+    require_existence(spec)
+    p, q = spec.m - spec.r, spec.n - spec.r
+    zero = [0] * (spec.m + 1)
+    c = [[1] + zero[1:]] + [list(zero) for _ in range(p + q - 1)]
+    for i, d in enumerate(spec.d, start=1):
+        for s in range(p + q - 1, 0, -1):  # c_s -= (d_i + alpha_i) c_{s-1}
+            c[s] = [a - d * b for a, b in zip(c[s], c[s - 1])]
+            c[s][i] -= c[s - 1][0]
+    for k in spec.k:
+        for s in range(1, p + q):  # divide by 1 - k_j t
+            c[s] = [a + k * b for a, b in zip(c[s], c[s - 1])]
+    rows = [[c[p - a + b] if p - a + b >= 0 else zero for b in range(q)] for a in range(q)]
+    sign = -1 if (p * q) % 2 else 1
+    return tuple(sign * x for x in _dual_det(rows)[1:])
 
 
 def total_degree(spec: ProblemSpec) -> int:
     """Degree of the resultant: the sum of the column degrees."""
     return sum(multidegree(spec))
-
-
-def multidegree_audit(spec: ProblemSpec) -> dict:
-    """Both banded-determinant conventions, for cross-checking.
-
-    The (m-r, n-r) determinant of the E-over-F series must equal
-    ``(-1)^((m-r)(n-r))`` times the (n-r, m-r) determinant of the F-over-E
-    series; both alpha extractions are reported.
-    """
-    require_existence(spec)
-    trunc = spec.N
-    p, q = spec.m - spec.r, spec.n - spec.r
-    cap = max(spec.m + spec.n, p + q - 1, q + p - 1, trunc)
-    e_series = chern_poly_split(spec.d, trunc, cap, with_alpha=True)
-    f_series = chern_poly_split(spec.k, trunc, cap, with_alpha=False)
-    d_ef = delta_pq(e_series * series_inverse(f_series), p, q)
-    d_fe = delta_pq(f_series * series_inverse(e_series), q, p)
-    sign = -1 if (p * q) % 2 else 1
-    return {
-        "ef_alpha": tuple(d_ef.alpha_coeff(i)[trunc] for i in range(1, spec.m + 1)),
-        "fe_alpha": tuple(d_fe.alpha_coeff(i)[trunc] for i in range(1, spec.m + 1)),
-        "sign": sign,
-        "multidegree": multidegree(spec),
-    }

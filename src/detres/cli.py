@@ -10,8 +10,9 @@ and are byte-deterministic for fixed inputs.
 (every Chow form), take the complex route: the determinant of the complex
 by Cayley's formula, with ``minors_used`` the number of square
 determinants taken.  The other specs take the minors route, a gcd of at
-most ``--budget`` maximal minors; only there can the budget run out
-before the degree is reached (exit 4).
+most ``resultant --budget`` maximal minors; only there can the budget run
+out before the degree is reached (exit 4).  ``chow`` has no budget, since
+every Chow form takes the complex route.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def _cmd_chow(args) -> int:
         problem = chow_problem(scroll)
         sigma = build_sigma(problem, critical_degree(problem), chow_generic_morphism(scroll))
     else:
-        out = chow_form(scroll, minor_budget=args.budget)
+        out = chow_form(scroll)
         sigma = out.sigma
     payload: dict = {"schema": SCHEMA, "matrix": _sigma_json(sigma)}
     if out is not None:
@@ -349,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chow", help="Chow matrix/form of a rational normal scroll")
     p.add_argument("--scroll", required=True, help="comma-separated degrees, e.g. 2,1")
-    p.add_argument("--budget", type=int, default=8, help="unused: Chow forms take the complex route")
     p.add_argument("--matrix-only", action="store_true")
     add_json(p)
     p.set_defaults(func=_cmd_chow)

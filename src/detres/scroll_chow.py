@@ -152,14 +152,14 @@ def chow_generic_morphism(spec: ScrollSpec) -> GenericMorphism:
     return generic_morphism(chow_problem(spec), letter_naming())
 
 
-def chow_form(spec: ScrollSpec, minor_budget: int = 8) -> ResultantOutput:
+def chow_form(spec: ScrollSpec) -> ResultantOutput:
     """Chow form of the scroll in Stiefel coordinates.
 
-    Degree ``sum(d_i)`` in each column block of the plane matrix.
+    Degree ``sum(d_i)`` in each column block of the plane matrix.  The
+    problem has m = n + 1, so it takes the complex route of
+    ``resultant_gcd``, where no minor budget applies.
     """
-    return resultant_gcd(
-        chow_problem(spec), minor_budget=minor_budget, naming=letter_naming()
-    )
+    return resultant_gcd(chow_problem(spec), naming=letter_naming())
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,8 @@ import pytest
 from detres.chern_degree import (
     ExistenceError,
     ProblemSpec,
-    TruncatedClass,
-    TruncatedSeries,
-    chern_poly_split,
-    delta_pq,
     existence_check,
     multidegree,
-    multidegree_audit,
-    multidegree_signed,
-    series_inverse,
     total_degree,
 )
 
@@ -57,83 +50,6 @@ class TestExistence:
             ProblemSpec(2, 1, 0, (1,), (0,))
 
 
-class TestChernPoly:
-    def test_two_twists_no_alpha(self):
-        s = chern_poly_split((2, 3), trunc=3, cap=4)
-        assert s.coeff(0).pure[0] == 1
-        assert s.coeff(1).pure[1] == -5
-        assert s.coeff(2).pure[2] == 6
-
-    def test_single_twist_alpha(self):
-        s = chern_poly_split((4,), trunc=2, cap=3, with_alpha=True)
-        c1 = s.coeff(1)
-        assert c1.pure == (0, -4, 0)
-        assert c1.alpha_coeff(1) == (-1, 0, 0)
-
-    def test_alpha_truncation(self):
-        # (1 - (h+a1)t)(1 - (h+a2)t): t^2 coefficient alpha_1 part is h
-        s = chern_poly_split((1, 1), trunc=3, cap=3, with_alpha=True)
-        c2 = s.coeff(2)
-        assert c2.alpha_coeff(1) == (0, 1, 0, 0)
-        assert c2.alpha_coeff(2) == (0, 1, 0, 0)
-        assert c2.pure == (0, 0, 1, 0)
-
-
-class TestSeriesInverse:
-    def test_geometric(self):
-        s = chern_poly_split((3,), trunc=4, cap=4)
-        inv = series_inverse(s)
-        for j in range(5):
-            coeffs = [0] * 5
-            if j <= 4:
-                coeffs[j] = 3**j
-            assert inv.coeff(j).pure == tuple(coeffs)
-
-    def test_identity(self):
-        one = TruncatedSeries.one(3, 4)
-        assert series_inverse(one) == one
-
-    def test_two_sided(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            twists = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
-            s = chern_poly_split(twists, trunc=3, cap=5, with_alpha=True)
-            assert s * series_inverse(s) == TruncatedSeries.one(3, 5)
-            assert series_inverse(s) * s == TruncatedSeries.one(3, 5)
-
-    def test_rank_two_display(self):
-        # 1/c_t(V) = 1 - c1 t + (c1^2 - c2) t^2 + ...
-        s = chern_poly_split((2, 5), trunc=4, cap=4)
-        c1 = -7
-        c2 = 10
-        inv = series_inverse(s)
-        assert inv.coeff(1).pure[1] == -c1
-        assert inv.coeff(2).pure[2] == c1 * c1 - c2
-
-    def test_non_unit_errors(self):
-        z = TruncatedSeries(3, 3, [TruncatedClass.zero(3)])
-        with pytest.raises(ExistenceError):
-            series_inverse(z)
-
-
-class TestDeltaPQ:
-    def test_q_one_is_cp(self):
-        s = chern_poly_split((1, 2, 3), trunc=4, cap=5)
-        for p in range(1, 4):
-            assert delta_pq(s, p, 1) == s.coeff(p)
-
-    def test_delta_12_layout(self):
-        s = chern_poly_split((1, 4), trunc=4, cap=5)
-        got = delta_pq(s, 1, 2)
-        expected = s.coeff(1) * s.coeff(1) - s.coeff(0) * s.coeff(2)
-        assert got == expected
-
-    def test_bad_pq(self):
-        s = chern_poly_split((1,), trunc=2, cap=3)
-        with pytest.raises(ExistenceError):
-            delta_pq(s, 0, 1)
-
-
 class TestMultidegree:
     def test_sylvester_family(self):
         for d1, d2 in product(range(1, 6), repeat=2):
@@ -164,12 +80,6 @@ class TestMultidegree:
                     d2 * (d2 - k) * (2 * d1 - k),
                     d1 * (d1 - k) * (2 * d2 - k),
                 )
-
-    def test_signed_audit_relation(self):
-        spec = ProblemSpec(3, 2, 1, (2, 3, 4), (1, 0))
-        sign = (-1) ** ((spec.m - spec.r) * (spec.n - spec.r))
-        signed = multidegree_signed(spec)
-        assert tuple(sign * x for x in signed) == multidegree(spec)
 
     def test_symmetry_under_column_permutation(self):
         spec = ProblemSpec(3, 2, 1, (2, 3, 4), (1, 0))
@@ -221,16 +131,72 @@ class TestTotalDegree:
             assert total_degree(spec) == n * e_sym(m - n, d)
 
 
-class TestAudit:
-    def test_both_orders_agree(self):
-        for spec in [
-            ProblemSpec(2, 1, 0, (2, 3), (0,)),
-            ProblemSpec(3, 2, 1, (2, 3, 4), (1, 0)),
-            ProblemSpec(2, 2, 0, (2, 3), (1, 0)),
-        ]:
-            audit = multidegree_audit(spec)
-            p, q = spec.m - spec.r, spec.n - spec.r
-            sign = (-1) ** (p * q)
-            assert audit["ef_alpha"] == tuple(
-                sign * x for x in audit["fe_alpha"]
-            )
+def random_specs(seed, count, max_n):
+    """Seeded valid specs with 1 <= N <= max_n."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        m = rng.randint(1, 5)
+        n = rng.randint(1, m)
+        r = rng.randint(0, n - 1)
+        if not 1 <= (m - r) * (n - r) - 1 <= max_n:
+            continue
+        k = tuple(rng.randint(-3, 3) for _ in range(n))
+        d = tuple(max(k) + rng.randint(1, 4) for _ in range(m))
+        specs.append(ProblemSpec(m, n, r, d, k))
+    return specs
+
+
+class TestSympyOracle:
+    """Both banded-determinant conventions in sympy's Z[h, alpha], with h
+    kept symbolic and no term in h or alpha dropped: the alpha_i h^N
+    coefficients of the (p, q) determinant of c(E)/c(F), and of the (q, p)
+    determinant of c(F)/c(E), with geometric series for the inverses."""
+
+    @staticmethod
+    def alpha_coeffs(sympy, spec, e_over_f):
+        from sympy.polys.matrices import DomainMatrix
+
+        ring, h, *alphas = sympy.ring(
+            ["h"] + [f"a{i}" for i in range(1, spec.m + 1)], sympy.ZZ
+        )
+        p, q = spec.m - spec.r, spec.n - spec.r
+        size, band = (q, p) if e_over_f else (p, q)
+        length = p + q
+        e_roots = [di * h + a for di, a in zip(spec.d, alphas)]
+        f_roots = [kj * h for kj in spec.k]
+        top, bottom = (e_roots, f_roots) if e_over_f else (f_roots, e_roots)
+        # series in t as coefficient lists, cut after t^(length - 1)
+        series = [ring.one] + [ring.zero] * (length - 1)
+        factors = [[ring.one, -x] for x in top]
+        for x in bottom:
+            factors.append([ring.one])
+            while len(factors[-1]) < length:
+                factors[-1].append(factors[-1][-1] * x)
+        for factor in factors:
+            series = [
+                sum(
+                    (factor[j] * series[s - j] for j in range(min(s, len(factor) - 1) + 1)),
+                    ring.zero,
+                )
+                for s in range(length)
+            ]
+
+        def c(s):
+            return series[s] if s >= 0 else ring.zero
+
+        delta = DomainMatrix(
+            [[c(band - a + b) for b in range(size)] for a in range(size)],
+            (size, size),
+            ring.to_domain(),
+        ).det()
+        return tuple(int(delta.coeff(a * h**spec.N)) for a in alphas)
+
+    @pytest.mark.parametrize("spec", random_specs(2002, 12, 5), ids=repr)
+    def test_both_conventions(self, spec):
+        sympy = pytest.importorskip("sympy", minversion="1.14")
+        sign = (-1) ** ((spec.m - spec.r) * (spec.n - spec.r))
+        ef = self.alpha_coeffs(sympy, spec, e_over_f=True)
+        fe = self.alpha_coeffs(sympy, spec, e_over_f=False)
+        assert multidegree(spec) == tuple(sign * x for x in ef)
+        assert ef == tuple(sign * x for x in fe)

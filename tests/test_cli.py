@@ -254,6 +254,11 @@ class TestChow:
         assert main(["chow", "--scroll", "2,x", "--matrix-only"]) == 2
         assert main(["chow", "--scroll", "2,0", "--matrix-only"]) == 2
 
+    def test_budget_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chow", "--scroll", "2,1", "--budget", "8"])
+        assert exc.value.code == 2
+
 
 class TestChowTest:
     def test_meeting_plane(self, tmp_path, capsys):

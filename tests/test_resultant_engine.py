@@ -190,12 +190,35 @@ class TestResultantGcd:
         assert out.confirmed
         assert out.polynomial == oracle
 
-    def test_block_degrees_match_multidegree(self):
-        for d1, d2 in [(1, 1), (1, 2), (2, 2)]:
-            spec = sylvester_spec(d1, d2)
-            out = resultant_gcd(spec)
-            assert out.block_degrees == multidegree(spec)
-            assert out.polynomial.degree == total_degree(spec)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            sylvester_spec(1, 1),
+            sylvester_spec(1, 2),
+            sylvester_spec(2, 2),
+            ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
+            ProblemSpec(2, 2, 0, (1, 1), (0, 0)),
+            ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0)),
+            chow_problem(ScrollSpec((2,))),
+            chow_problem(ScrollSpec((1, 1))),
+            chow_problem(ScrollSpec((2, 1))),
+        ],
+        ids=[
+            "sylvester-11",
+            "sylvester-12",
+            "sylvester-22",
+            "macaulay-310-d112",
+            "220-d11",
+            "321-d112",
+            "chow-S2",
+            "chow-S11",
+            "chow-S21",
+        ],
+    )
+    def test_block_degrees_match_multidegree(self, spec):
+        out = resultant_gcd(spec)
+        assert out.block_degrees == multidegree(spec)
+        assert out.polynomial.degree == total_degree(spec)
 
     def test_minors_divisible_by_resultant(self):
         spec = sylvester_spec(1, 2)
