@@ -1,4 +1,4 @@
-"""Degree formulas for determinantal resultants.
+"""Degree formulas for determinantal resultants, and the critical degree.
 
 With ``p = m - r`` and ``q = n - r``, the degree ``N_i`` of the resultant in
 the coefficients of column ``i`` is ``(-1)^(pq)`` times the coefficient of
@@ -145,3 +145,20 @@ def multidegree(spec: ProblemSpec) -> tuple[int, ...]:
 def total_degree(spec: ProblemSpec) -> int:
     """Degree of the resultant: the sum of the column degrees."""
     return sum(multidegree(spec))
+
+
+def critical_degree(spec: ProblemSpec) -> int:
+    """Smallest degree at which the minors of sigma_d compute the resultant.
+
+    With k sorted descending, ``nu = (n-r)(sum d - sum k) - (m-n)(k_{r+1} +
+    ... + k_n) - (m-r)(n-r) + 1``.  The value is invariant under
+    simultaneous twisting of both bundles.
+    """
+    require_existence(spec)
+    ks = sorted(spec.k, reverse=True)
+    return (
+        (spec.n - spec.r) * (sum(spec.d) - sum(spec.k))
+        - (spec.m - spec.n) * sum(ks[spec.r :])
+        - (spec.m - spec.r) * (spec.n - spec.r)
+        + 1
+    )

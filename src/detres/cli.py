@@ -20,35 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .chern_degree import (
-    ExistenceError,
-    ProblemSpec,
-    existence_check,
-    multidegree,
-    require_existence,
-)
-from .partition_schur import complex_terms
-from .polyring import PolyError, Polynomial, rational_from_json
-from .resultant_engine import (
-    ConcreteMorphism,
-    SigmaMatrix,
-    build_sigma,
-    concrete_morphism,
-    critical_degree,
-    generic_morphism,
-    resultant_gcd,
-    sigma_rank,
-)
-from .scroll_chow import (
-    PlaneStiefel,
-    ScrollSpec,
-    chow_generic_morphism,
-    chow_form,
-    chow_problem,
-    plane_diagnostics,
-)
+from .chern_degree import ExistenceError, ProblemSpec, critical_degree, require_existence
+
+if TYPE_CHECKING:
+    from .resultant_engine import ConcreteMorphism, SigmaMatrix
+    from .scroll_chow import PlaneStiefel, ScrollSpec
 
 SCHEMA = "detres/1"
 
@@ -93,6 +71,8 @@ def _load_spec(path: str) -> ProblemSpec:
 
 
 def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
+    from .polyring import PolyError, Polynomial
+    from .resultant_engine import concrete_morphism
     # A spec without a resultant exits 3 even when the morphism is bad too.
     require_existence(spec)
     data = _load_json(path)
@@ -105,6 +85,8 @@ def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
 
 def _load_plane(path: str) -> PlaneStiefel:
     """Rows of entries, each a rational string or a JSON integer."""
+    from .polyring import PolyError, rational_from_json
+    from .scroll_chow import PlaneStiefel
     data = _load_json(path)
     try:
         if type(data) is not list or any(type(row) is not list for row in data):
@@ -117,6 +99,7 @@ def _load_plane(path: str) -> PlaneStiefel:
 
 
 def _parse_scroll(text: str) -> ScrollSpec:
+    from .scroll_chow import ScrollSpec
     try:
         return ScrollSpec(tuple(int(x) for x in text.split(",")))
     except (ValueError, ExistenceError) as exc:
@@ -151,6 +134,7 @@ def _sigma_json(sigma: SigmaMatrix) -> dict:
 
 
 def _cmd_degree(args) -> int:
+    from .chern_degree import existence_check, multidegree
     spec = _load_spec(args.spec)
     ok, bad = existence_check(spec)
     if not ok:
@@ -183,6 +167,7 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .resultant_engine import build_sigma, generic_morphism
     spec = _load_spec(args.spec)
     d = args.degree if args.degree is not None else critical_degree(spec)
     if args.phi:
@@ -211,6 +196,7 @@ def _resultant_payload(out) -> dict:
 
 
 def _cmd_resultant(args) -> int:
+    from .resultant_engine import resultant_gcd
     spec = _load_spec(args.spec)
     out = resultant_gcd(spec, d=args.degree, minor_budget=args.budget)
     if args.json:
@@ -223,6 +209,7 @@ def _cmd_resultant(args) -> int:
 
 
 def _cmd_test(args) -> int:
+    from .resultant_engine import sigma_rank
     spec = _load_spec(args.spec)
     phi = _load_phi(args.phi, spec)
     result = sigma_rank(spec, phi, args.degree)
@@ -235,6 +222,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_chow(args) -> int:
+    from .resultant_engine import build_sigma
+    from .scroll_chow import chow_form, chow_generic_morphism, chow_problem
     scroll = _parse_scroll(args.scroll)
     out = None
     if args.matrix_only:
@@ -261,6 +250,7 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_chow_test(args) -> int:
+    from .scroll_chow import plane_diagnostics
     scroll = _parse_scroll(args.scroll)
     plane = _load_plane(args.plane)
     diag = plane_diagnostics(scroll, plane)
@@ -275,6 +265,7 @@ def _cmd_chow_test(args) -> int:
 
 
 def _cmd_complex(args) -> int:
+    from .partition_schur import complex_terms
     spec = _load_spec(args.spec)
     require_existence(spec)
     q = spec.n - spec.r
@@ -380,7 +371,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ExistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXISTENCE
-    except PolyError as exc:
+    except ValueError as exc:
+        # Imported only here: `degree` and `complex` never load polyring.
+        from .polyring import PolyError
+        if not isinstance(exc, PolyError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

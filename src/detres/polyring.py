@@ -10,7 +10,9 @@ immutable after construction and safe to share between threads.
 division-free memoized minor expansion), exact division and the gcd first
 clear denominators once and then run on integer term dicts; by Gauss's
 lemma an exact division over Q is exact over Z once the divisor is
-primitive.
+primitive.  ``_det_int`` (the determinant's integer core) and
+``_from_terms`` (a ``Polynomial`` from a canonical term dict, unchecked) let
+callers stay on integer dicts across several steps.
 
 Monomial order is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple with the leftmost variable most significant).
@@ -377,19 +379,26 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     divided by the product of the row lcms once at the end; it is identical
     to cofactor expansion.
     """
+    det, den = _det_int(matrix)
+    return _from_terms(matrix[0][0].varset, det, den)
+
+
+def _det_int(matrix: Sequence[Sequence[Polynomial]]) -> tuple[IntDict, int]:
+    """The integer core of ``det_fraction_free``: the determinant of the
+    row-scaled matrix as an integer term dict, and the product of the row
+    scales, which the determinant of ``matrix`` is that dict divided by."""
     n = len(matrix)
     if n == 0:
         raise PolyError("empty matrix")
     for row in matrix:
         if len(row) != n:
             raise PolyError("matrix is not square")
-    varset = matrix[0][0].varset
+    nv = len(matrix[0][0].varset)
     rows = [_clear_denominators(*(entry.terms for entry in row)) for row in matrix]
     m = [int_row for int_row, _ in rows]
-    den = math.prod(row_den for _, row_den in rows)
     # minors[cols]: the minor on the last popcount(cols) rows and the
     # columns whose bits are set in cols.
-    minors: dict[int, IntDict] = {0: {(0,) * len(varset): 1}}
+    minors: dict[int, IntDict] = {0: {(0,) * nv: 1}}
 
     def minor(cols: int) -> IntDict:
         got = minors.get(cols)
@@ -411,8 +420,20 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         out = minors[cols] = {e: c for e, c in acc.items() if c}
         return out
 
-    det = minor((1 << n) - 1)
-    return Polynomial(varset, _dict_scale(det, Fraction(1, den)))
+    return minor((1 << n) - 1), math.prod(row_den for _, row_den in rows)
+
+
+def _from_terms(varset: VarSet, terms: Mapping, den: int = 1) -> Polynomial:
+    """The polynomial ``terms / den`` from a canonical term dict (exponent
+    tuples of the varset's length, int or Fraction coefficients, none
+    zero), built without ``Polynomial``'s per-term checks."""
+    p = Polynomial(varset, {})
+    if den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
+        canon = {e: Fraction(c) for e, c in terms.items()}
+    else:
+        canon = {e: Fraction(c, den) for e, c in terms.items()}
+    object.__setattr__(p, "terms", canon)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +448,15 @@ def multivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     on the graded-lex leading monomial.  Algorithm: recursive primitive-part
     subresultant PRS over the selected main variable, with content
     extraction; candidate remainders are verified by exact trial division, so
-    every early exit is exact.
+    every early exit is exact.  The inputs are put in graded-lex descending
+    order on entry: the cost of the PRS depends, by orders of magnitude, on
+    the order of the terms, and now only on their set.
     """
     p._check_varset(q)
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd(0, 0) is undefined")
     (P, Q), _ = _clear_denominators(p.terms, q.terms)
+    P, Q = ({e: t[e] for e in sorted(t, key=glex_key, reverse=True)} for t in (P, Q))
     return Polynomial(p.varset, _normalize_int_dict(_gcd_dict(P, Q)))
 
 

@@ -14,8 +14,11 @@ two routes.  For r = 0 (sigma_d is the Macaulay map of the m*n entries,
 resolved by their Koszul complex) and for r = n - 1 with m = n + 1 (the
 Eagon-Northcott complex) it is the determinant of the degree-d strand of
 that complex, a quotient of square determinants by Cayley's formula
-(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  For every other spec
-it is the gcd of maximal minors of ``sigma_d``, with a minor budget.
+(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  That route leaves
+``Fraction`` at the block determinants and runs their products, the exact
+division and the normalization on integer term dicts; only the normalized
+resultant becomes a ``Polynomial`` again.  For every other spec it is the
+gcd of maximal minors of ``sigma_d``, with a minor budget.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from functools import reduce
+from itertools import accumulate, chain, combinations
 from math import lcm, prod
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -31,16 +35,22 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .chern_degree import (
     ExistenceError,
     ProblemSpec,
+    critical_degree,
     require_existence,
     total_degree,
 )
 from .polyring import (
+    NEG_INFINITY,
     Exponent,
     PolyError,
     Polynomial,
     VarSet,
+    _det_int,
+    _dict_mul,
+    _dict_try_div,
+    _from_terms,
+    _normalize_int_dict,
     det_fraction_free,
-    exact_div,
     monomials_of_degree,
     multivariate_gcd,
     normalize_gcd_style,
@@ -239,28 +249,6 @@ def parameter_assignment(
 
 
 # ---------------------------------------------------------------------------
-# Critical degree
-# ---------------------------------------------------------------------------
-
-
-def critical_degree(spec: ProblemSpec) -> int:
-    """Smallest degree at which the minors of sigma_d compute the resultant.
-
-    With k sorted descending, ``nu = (n-r)(sum d - sum k) - (m-n)(k_{r+1} +
-    ... + k_n) - (m-r)(n-r) + 1``.  The value is invariant under
-    simultaneous twisting of both bundles.
-    """
-    require_existence(spec)
-    ks = sorted(spec.k, reverse=True)
-    return (
-        (spec.n - spec.r) * (sum(spec.d) - sum(spec.k))
-        - (spec.m - spec.n) * sum(ks[spec.r :])
-        - (spec.m - spec.r) * (spec.n - spec.r)
-        + 1
-    )
-
-
-# ---------------------------------------------------------------------------
 # The sigma_d matrix
 # ---------------------------------------------------------------------------
 
@@ -337,11 +325,7 @@ def build_sigma(
     # entry accumulators: per column, a dict row -> coefficient dict/value
     columns: list[list] = []
     omitted = 0
-    zero_fill: Polynomial | Fraction
-    if symbolic:
-        zero_fill = Polynomial.zero(param_varset)
-    else:
-        zero_fill = Fraction(0)
+    zero_fill = Polynomial.zero(param_varset) if symbolic else Fraction(0)
 
     for J in combinations(range(1, spec.n + 1), spec.r + 1):
         for I in combinations(range(1, spec.m + 1), spec.r + 1):
@@ -356,18 +340,16 @@ def build_sigma(
             sub = [[phi.entry(j, i) for i in I] for j in J]
             delta = det_fraction_free(sub)
             for mu in monomials_of_degree(nv, mu_deg):
+                # e -> (rho, e[nv:]) is one-to-one: no cell is written twice.
                 col: list = [None] * len(row_basis)
                 for e, c in delta.terms.items():
-                    rho = tuple(a + b for a, b in zip(e[:nv], mu))
-                    r = row_index[rho]
+                    r = row_index[tuple(map(add, e[:nv], mu))]
                     if symbolic:
-                        pe = e[nv:]
                         if col[r] is None:
                             col[r] = {}
-                        col[r][pe] = col[r].get(pe, 0) + c
+                        col[r][e[nv:]] = c
                     else:
-                        v = col[r]
-                        col[r] = c if v is None else v + c
+                        col[r] = c
                 col_basis.append((J, I, mu))
                 columns.append(col)
 
@@ -379,7 +361,7 @@ def build_sigma(
             if v is None:
                 row.append(zero_fill)
             elif symbolic:
-                row.append(Polynomial(param_varset, v))
+                row.append(_from_terms(param_varset, v))
             else:
                 row.append(v)
         rows_out.append(tuple(row))
@@ -552,18 +534,31 @@ def _output(
     target: int,
 ) -> ResultantOutput:
     """The output for ``poly``, confirmed when its degree is ``target``."""
-    blocks = tuple(
-        int(poly.degree_in(phi.block_names(i))) for i in range(1, spec.m + 1)
-    )
+    blocks, total = _degrees(poly, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
     return ResultantOutput(
         polynomial=poly,
-        block_degrees=blocks,
-        confirmed=poly.degree == target,
+        block_degrees=tuple(int(b) for b in blocks),
+        confirmed=total == target,
         minors_used=used,
         minor_columns=tuple(chosen),
         normalization="integer content 1, positive graded-lex leading coefficient",
         sigma=sigma,
     )
+
+
+def _degrees(poly: Polynomial, sizes: Sequence[int]) -> tuple[list, int | float]:
+    """Degrees of ``poly`` in consecutive blocks of variables of the given
+    sizes, and its total degree, in one pass over the terms: maxima over the
+    terms, as in ``degree_in`` and ``degree`` (``NEG_INFINITY`` for zero)."""
+    cuts = list(accumulate(sizes, initial=0))
+    spans = [*zip(cuts, cuts[1:]), (0, len(poly.varset))]
+    top: list = [NEG_INFINITY] * len(spans)
+    for e in poly.terms:
+        for t, (a, b) in enumerate(spans):
+            s = sum(e[a:b])
+            if s > top[t]:
+                top[t] = s
+    return top[:-1], top[-1]
 
 
 # -- the complex route (Cayley's formula) ------------------------------------
@@ -761,8 +756,7 @@ def _resultant_by_complex(
     pv = sigma.param_varset
     assert pv is not None
     params = [Polynomial.variable(pv, name) for name in pv.names]
-    odd: list[Polynomial] = []
-    even: list[Polynomial] = []
+    odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
         if not rows:
             continue
@@ -775,13 +769,17 @@ def _resultant_by_complex(
                 for r, sign, t in maps[p - 2][c]:
                     if r in at:
                         matrix[at[r]][v] = params[t] if sign > 0 else -params[t]
-        (odd if p % 2 else even).append(det_fraction_free(matrix))
-    res = prod(odd[1:], start=odd[0])
+        # The row scales are dropped: the normalization fixes the scale.
+        (odd if p % 2 else even).append(_det_int(matrix)[0])
+    res = reduce(_dict_mul, odd)
     if even:
-        res = exact_div(res, prod(even[1:], start=even[0]))
-    res = normalize_gcd_style(res)
+        # Gauss's lemma: exact over Z iff over Q, the divisor being primitive.
+        res = _dict_try_div(res, _normalize_int_dict(reduce(_dict_mul, even)))
+        if res is None:
+            raise PolyError("division is not exact")
+    poly = _from_terms(pv, _normalize_int_dict(res))
     used = len(odd) + len(even)
-    return _output(spec, phi, sigma, res, used, [tuple(blocks[0][1])], total_degree(spec))
+    return _output(spec, phi, sigma, poly, used, [tuple(blocks[0][1])], total_degree(spec))
 
 
 # -- the minors route (gcd of maximal minors) --------------------------------

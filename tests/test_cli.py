@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import detres
 
 from detres.cli import main
 from detres.polyring import Polynomial
@@ -233,7 +239,6 @@ class TestChow:
         assert len(data["matrix"]["col_basis"]) == 6
 
     def test_builds_sigma_once(self, monkeypatch, capsys):
-        import detres.cli as cli
         import detres.resultant_engine as engine
 
         calls = []
@@ -244,7 +249,6 @@ class TestChow:
 
         build_sigma = engine.build_sigma
         monkeypatch.setattr(engine, "build_sigma", counting)
-        monkeypatch.setattr(cli, "build_sigma", counting)
         assert main(["chow", "--scroll", "1,1", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(calls) == 1
@@ -320,3 +324,47 @@ class TestComplex:
         data = json.loads(capsys.readouterr().out)
         assert data["schema"] == "detres/1"
         assert {t["p"] for t in data["terms"]} == {-2, -1, 0}
+
+
+#: The names ``detres`` re-exported from its modules before it loaded them
+#: on first access.
+FORMER_EXPORTS = (
+    "Polynomial VarSet det_fraction_free exact_div monomials_of_degree multivariate_gcd"
+    " ProblemSpec existence_check multidegree total_degree"
+    " complex_terms conc dual lemma510 schur_dim"
+    " ConcreteMorphism GenericMorphism build_sigma critical_degree generic_morphism"
+    " resultant_gcd staircase_specialization vanish_test"
+    " PlaneStiefel ScrollSpec chow_form chow_problem plane_meets_scroll plucker_coords"
+    " scroll_equations"
+).split()
+
+
+class TestLazyImports:
+    def test_degree_loads_only_what_it_needs(self, spec_file):
+        path = spec_file("syl.json", SYLVESTER)
+        script = (
+            "import sys, detres.cli\n"
+            f"code = detres.cli.main(['degree', '--spec', {path!r}, '--json'])\n"
+            "heavy = ('detres.resultant_engine', 'detres.scroll_chow', 'detres.partition_schur')\n"
+            "print(code, [m for m in heavy if m in sys.modules])\n"
+        )
+        src = str(Path(detres.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_public_names_still_exposed(self):
+        namespace: dict = {}
+        exec("from detres import *", namespace)
+        for name in FORMER_EXPORTS:
+            assert name in dir(detres)
+            assert namespace[name] is getattr(detres, name)
+
+    def test_names_are_not_cached(self):
+        assert detres.chow_form is detres.scroll_chow.chow_form
+        assert "chow_form" not in vars(detres)
+        with pytest.raises(AttributeError):
+            detres.no_such_name

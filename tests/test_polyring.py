@@ -13,6 +13,7 @@ from detres.polyring import (
     _dict_add,
     _dict_mul,
     _dict_try_div,
+    _from_terms,
     det_fraction_free,
     exact_div,
     glex_key,
@@ -515,6 +516,47 @@ class TestGcd:
         w = x * y + z * z + 1
         g = multivariate_gcd(w * (x + y), w * (x - z))
         assert g == w
+
+
+    def test_term_order_does_not_matter(self):
+        """Shuffled insertion orders of the same two polynomials give the same
+        gcd, with its terms in the same order."""
+        vs = VarSet(("x", "y", "z"))
+        rng = random.Random(1212)
+        for _ in range(4):
+            w, a, b = (random_poly(rng, vs, max_deg=2, nterms=4) for _ in range(3))
+            if w.is_zero() or a.is_zero() or b.is_zero():
+                continue
+            p, q = w * a, w * b
+            want = list(multivariate_gcd(p, q).terms.items())
+            for _ in range(3):
+                shuffled = [
+                    Polynomial(vs, dict(rng.sample(list(t.terms.items()), len(t.terms))))
+                    for t in (p, q)
+                ]
+                assert list(multivariate_gcd(*shuffled).terms.items()) == want
+
+
+class TestTrustedConstructor:
+    """``_from_terms`` against the checked ``Polynomial`` constructor."""
+
+    @pytest.mark.parametrize("den", [1, 2, -3, 12])
+    def test_matches_checked_constructor(self, den):
+        vs = VarSet(("x", "y", "z"))
+        rng = random.Random(404 + den)
+        for nterms in (0, 1, 3, 8, 15):
+            terms = random_int_dict(rng, 3, nterms)
+            got = _from_terms(vs, terms, den)
+            want = Polynomial(vs, {e: Fraction(c, den) for e, c in terms.items()})
+            assert got == want and got.varset is vs
+            assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+            assert hash(got) == hash(want)
+
+    def test_fraction_coefficients(self):
+        terms = {(2, 0): Fraction(3, 4), (0, 1): Fraction(-5)}
+        got = _from_terms(XY, terms)
+        assert got == Polynomial(XY, terms)
+        assert all(type(c) is Fraction for c in got.terms.values())
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ from detres.polyring import (
 from detres.resultant_engine import (
     ConcreteMorphism,
     _candidate_column_sets,
+    _degrees,
     _resultant_by_minors,
     build_sigma,
     complex_strand,
@@ -34,7 +35,7 @@ from detres.resultant_engine import (
     staircase_specialization,
     vanish_test,
 )
-from detres.scroll_chow import ScrollSpec, chow_problem
+from detres.scroll_chow import ScrollSpec, chow_generic_morphism, chow_problem
 
 
 def sylvester_spec(d1, d2):
@@ -705,3 +706,32 @@ class TestComplexRoute:
         )
         resultant_gcd(spec)
         assert calls == [(spec, critical_degree(spec), 8, None)]
+
+
+class TestOnePassDegrees:
+    """``_degrees`` against ``Polynomial.degree_in`` and ``Polynomial.degree``
+    on seeded random polynomials over the parameters of generic morphisms."""
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            generic_morphism(sylvester_spec(2, 3)),
+            generic_morphism(ProblemSpec(3, 1, 0, (1, 1, 2), (0,))),
+            chow_generic_morphism(ScrollSpec((2, 1))),
+        ],
+        ids=["sylvester", "macaulay", "S21"],
+    )
+    def test_matches_degree_in(self, phi):
+        pv = VarSet(phi.param_names)
+        m = phi.spec.m
+        sizes = [len(phi.block_names(i)) for i in range(1, m + 1)]
+        rng = random.Random(808)
+        for nterms in (0, 1, 2, 5, 12, 30):
+            terms = {
+                tuple(rng.choice((0, 0, 0, 0, 1, 2, 3)) for _ in pv.names): rng.randint(1, 9)
+                for _ in range(nterms)
+            }
+            poly = Polynomial(pv, terms)
+            blocks, total = _degrees(poly, sizes)
+            assert blocks == [poly.degree_in(phi.block_names(i)) for i in range(1, m + 1)]
+            assert total == poly.degree
