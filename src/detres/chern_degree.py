@@ -17,15 +17,22 @@ So the series and the determinant are computed over dual numbers of Z:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 
 class ExistenceError(ValueError):
     """Raised when a problem specification admits no determinantal resultant."""
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class _ProblemSpec(NamedTuple):
+    m: int
+    n: int
+    r: int
+    d: tuple[int, ...]
+    k: tuple[int, ...]
+
+
+class ProblemSpec(_ProblemSpec):
     """The data of a determinantal resultant problem on projective space.
 
     ``E`` is the direct sum of the twists ``O(-d_i)`` (rank ``m``), ``F`` of
@@ -33,19 +40,17 @@ class ProblemSpec:
     dimension is forced: ``N = (m - r)(n - r) - 1``.
     """
 
-    m: int
-    n: int
-    r: int
-    d: tuple[int, ...]
-    k: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "k", tuple(self.k))
-        if len(self.d) != self.m:
-            raise ExistenceError(f"d must have length m={self.m}")
-        if len(self.k) != self.n:
-            raise ExistenceError(f"k must have length n={self.n}")
+    def __new__(
+        cls, m: int, n: int, r: int, d: Sequence[int], k: Sequence[int]
+    ) -> "ProblemSpec":
+        d, k = tuple(d), tuple(k)
+        if len(d) != m:
+            raise ExistenceError(f"d must have length m={m}")
+        if len(k) != n:
+            raise ExistenceError(f"k must have length n={n}")
+        return super().__new__(cls, m, n, r, d, k)
 
     @property
     def N(self) -> int:

@@ -16,9 +16,8 @@ than the smaller rank) this reproduces the Eagon-Northcott shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 
@@ -140,17 +139,23 @@ def lemma510(
     return trim(i_prime), p * r
 
 
-@dataclass(frozen=True)
-class ComplexTerm:
-    """One summand of a homological degree of the resolution."""
-
+class _ComplexTerm(NamedTuple):
     I: Partition
     I_prime: Partition
     ampleness: int
     homological_index: int
 
-    def __post_init__(self) -> None:
-        assert self.homological_index == self.ampleness - weight(self.I)
+
+class ComplexTerm(_ComplexTerm):
+    """One summand of a homological degree of the resolution."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, I: Partition, I_prime: Partition, ampleness: int, homological_index: int
+    ) -> "ComplexTerm":
+        assert homological_index == ampleness - weight(I)
+        return super().__new__(cls, I, I_prime, ampleness, homological_index)
 
 
 def complex_terms(m: int, n: int, r: int, p: int) -> list[ComplexTerm]:

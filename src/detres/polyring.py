@@ -23,7 +23,6 @@ top of this module and the normalization of gcds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, sub
@@ -39,23 +38,42 @@ class PolyError(ValueError):
     """Raised on malformed polynomial inputs (varset mismatch, bad division)."""
 
 
-@dataclass(frozen=True)
 class VarSet:
     """An ordered collection of distinct variable names.
 
     The order is significant: it fixes the positions of monomial exponent
-    tuples and the graded-lex monomial order.
+    tuples and the graded-lex monomial order.  Equality and hash are those
+    of ``names``.
     """
 
-    names: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("names", "_index")
 
-    def __post_init__(self) -> None:
-        names = tuple(self.names)
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if len(set(names)) != len(names):
             raise PolyError(f"duplicate variable names in {names!r}")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(names)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VarSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VarSet is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VarSet:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
+
+    def __repr__(self) -> str:
+        return f"VarSet(names={self.names!r})"
+
+    def __reduce__(self):
+        return (VarSet, (self.names,))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -120,6 +138,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # Pickle rebuilds through __init__: the slots cannot be assigned.
+        return (Polynomial, (self.varset, self.terms))
 
     # -- constructors ------------------------------------------------------
 

@@ -24,7 +24,6 @@ gcd of maximal minors of ``sigma_d``, with a minor budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, combinations
@@ -98,8 +97,7 @@ def letter_naming() -> Callable[[int, int, Exponent], str]:
     return name
 
 
-@dataclass(frozen=True)
-class GenericMorphism:
+class GenericMorphism(NamedTuple):
     """The universal morphism with one parameter per entry coefficient.
 
     Entry (j, i) is the generic form of degree ``d_i - k_j`` in the
@@ -173,27 +171,35 @@ def generic_morphism(
     )
 
 
-@dataclass(frozen=True)
-class ConcreteMorphism:
-    """A rational morphism: entries in the geometric variables only."""
-
+class _ConcreteMorphism(NamedTuple):
     spec: ProblemSpec
     varset: VarSet
     entries: tuple[tuple[Polynomial, ...], ...]
 
-    def __post_init__(self) -> None:
-        geo = geometric_names(self.spec)
-        if self.varset.names != geo:
+
+class ConcreteMorphism(_ConcreteMorphism):
+    """A rational morphism: entries in the geometric variables only."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        spec: ProblemSpec,
+        varset: VarSet,
+        entries: tuple[tuple[Polynomial, ...], ...],
+    ) -> "ConcreteMorphism":
+        geo = geometric_names(spec)
+        if varset.names != geo:
             raise PolyError(f"variables must be {', '.join(geo)}")
-        if len(self.entries) != self.spec.n:
-            raise PolyError(f"expected {self.spec.n} rows")
-        for j, row in enumerate(self.entries, start=1):
-            if len(row) != self.spec.m:
-                raise PolyError(f"row {j} must have {self.spec.m} entries")
+        if len(entries) != spec.n:
+            raise PolyError(f"expected {spec.n} rows")
+        for j, row in enumerate(entries, start=1):
+            if len(row) != spec.m:
+                raise PolyError(f"row {j} must have {spec.m} entries")
             for i, p in enumerate(row, start=1):
-                if p.varset != self.varset:
+                if p.varset != varset:
                     raise PolyError(f"entry ({j},{i}) is not over {', '.join(geo)}")
-                want = self.spec.d[i - 1] - self.spec.k[j - 1]
+                want = spec.d[i - 1] - spec.k[j - 1]
                 if p.is_zero():
                     continue
                 degs = {sum(e) for e in p.terms}
@@ -201,6 +207,7 @@ class ConcreteMorphism:
                     raise PolyError(
                         f"entry ({j},{i}) must be homogeneous of degree {want}"
                     )
+        return super().__new__(cls, spec, varset, entries)
 
     def entry(self, j: int, i: int) -> Polynomial:
         return self.entries[j - 1][i - 1]
@@ -255,8 +262,7 @@ def parameter_assignment(
 ColKey = tuple[tuple[int, ...], tuple[int, ...], Exponent]
 
 
-@dataclass(frozen=True)
-class SigmaMatrix:
+class SigmaMatrix(NamedTuple):
     """The matrix of sigma_d in the monomial basis of degree-d forms.
 
     Rows are indexed by the monomials of degree ``d`` in the geometric
@@ -456,8 +462,7 @@ def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResultantOutput:
+class ResultantOutput(NamedTuple):
     """The resultant polynomial and how it was computed.
 
     ``minors_used`` counts the determinants taken: the square blocks of the
@@ -755,7 +760,9 @@ def _resultant_by_complex(
             raise PolyError("could not find compatible nonsingular blocks")
     pv = sigma.param_varset
     assert pv is not None
-    params = [Polynomial.variable(pv, name) for name in pv.names]
+    # Only the blocks of the later differentials have +-parameter entries.
+    later = any(rows for rows, _ in blocks[1:])
+    params = [Polynomial.variable(pv, name) for name in pv.names] if later else []
     odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
         if not rows:

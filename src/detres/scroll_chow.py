@@ -11,10 +11,9 @@ morphism O^(r+1) -> O(d_1) + ... + O(d_r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chern_degree import ExistenceError, ProblemSpec, require_existence
 from .polyring import (
@@ -37,8 +36,11 @@ from .resultant_engine import (
 )
 
 
-@dataclass(frozen=True)
-class ScrollSpec:
+class _ScrollSpec(NamedTuple):
+    degrees: tuple[int, ...]
+
+
+class ScrollSpec(_ScrollSpec):
     """Degrees (d_1, ..., d_r) of a rational normal scroll.
 
     Every degree must be at least 1: a zero block would force an entry of
@@ -46,18 +48,19 @@ class ScrollSpec:
     degree hypothesis of the determinantal resultant.
     """
 
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        if not self.degrees:
+    def __new__(cls, degrees: Sequence[int]) -> "ScrollSpec":
+        degrees = tuple(degrees)
+        if not degrees:
             raise ExistenceError("scroll needs at least one degree")
-        if any(d < 1 for d in self.degrees):
+        if any(d < 1 for d in degrees):
             raise ExistenceError(
                 "scroll degrees must all be >= 1; degree-0 blocks are not"
                 " supported because the Chow morphism needs strictly"
                 " positive entry degrees"
             )
+        return super().__new__(cls, degrees)
 
     @property
     def r(self) -> int:
@@ -167,17 +170,20 @@ def chow_form(spec: ScrollSpec) -> ResultantOutput:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaneStiefel:
-    """A codimension-(r+1) plane as r+1 rows of linear-form coefficients."""
-
+class _PlaneStiefel(NamedTuple):
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
+
+class PlaneStiefel(_PlaneStiefel):
+    """A codimension-(r+1) plane as r+1 rows of linear-form coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Sequence[Sequence[Fraction | int]]) -> "PlaneStiefel":
+        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
         if len({len(r) for r in rows}) > 1:
             raise PolyError("plane rows must have equal length")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -339,6 +339,17 @@ FORMER_EXPORTS = (
 ).split()
 
 
+def run_script(script: str) -> str:
+    """The last stdout line of ``script`` run by a fresh interpreter."""
+    src = str(Path(detres.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 class TestLazyImports:
     def test_degree_loads_only_what_it_needs(self, spec_file):
         path = spec_file("syl.json", SYLVESTER)
@@ -348,13 +359,29 @@ class TestLazyImports:
             "heavy = ('detres.resultant_engine', 'detres.scroll_chow', 'detres.partition_schur')\n"
             "print(code, [m for m in heavy if m in sys.modules])\n"
         )
-        src = str(Path(detres.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        assert run_script(script) == "0 []"
+
+    def test_no_dataclasses_or_inspect(self, spec_file, tmp_path):
+        # Each costs milliseconds of every process's start-up.
+        path = spec_file("s.json", SYL11)
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps(phi_json(make_phi([[(1, 0), (0, 1)]]))))
+        runs = [
+            ["degree", "--spec", path],
+            ["matrix", "--spec", path],
+            ["resultant", "--spec", path],
+            ["test", "--spec", path, "--phi", str(phi)],
+            ["chow", "--scroll", "2,1", "--matrix-only"],
+        ]
+        script = (
+            "import sys\n"
+            "bare = set(sys.modules)\n"
+            "import detres.cli\n"
+            f"codes = [detres.cli.main(argv) for argv in {runs!r}]\n"
+            "slow = ('dataclasses', 'inspect')\n"
+            "print(codes, [m for m in slow if m in sys.modules and m not in bare])\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert run_script(script) == "[0, 0, 0, 0, 0] []"
 
     def test_public_names_still_exposed(self):
         namespace: dict = {}
