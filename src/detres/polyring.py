@@ -10,9 +10,10 @@ immutable after construction and safe to share between threads.
 division-free memoized minor expansion), exact division and the gcd first
 clear denominators once and then run on integer term dicts; by Gauss's
 lemma an exact division over Q is exact over Z once the divisor is
-primitive.  ``_det_int`` (the determinant's integer core) and
-``_from_terms`` (a ``Polynomial`` from a canonical term dict, unchecked) let
-callers stay on integer dicts across several steps.
+primitive.  ``_det_int`` (the determinant on integer dicts), ``_minor``
+(its expansion, for a matrix already on integer dicts) and ``_from_terms``
+(a ``Polynomial`` from a canonical term dict, unchecked) let callers stay
+on integer dicts across several steps.
 
 Monomial order is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple with the leftmost variable most significant).
@@ -412,37 +413,37 @@ def _det_int(matrix: Sequence[Sequence[Polynomial]]) -> tuple[IntDict, int]:
     n = len(matrix)
     if n == 0:
         raise PolyError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise PolyError("matrix is not square")
-    nv = len(matrix[0][0].varset)
-    rows = [_clear_denominators(*(entry.terms for entry in row)) for row in matrix]
-    m = [int_row for int_row, _ in rows]
-    # minors[cols]: the minor on the last popcount(cols) rows and the
-    # columns whose bits are set in cols.
-    minors: dict[int, IntDict] = {0: {(0,) * nv: 1}}
+    if any(len(row) != n for row in matrix):
+        raise PolyError("matrix is not square")
+    rows = [_clear_denominators(*[entry.terms for entry in row]) for row in matrix]
+    one = {(0,) * len(matrix[0][0].varset): 1}
+    det = _minor([int_row for int_row, _ in rows], {0: one}, (1 << n) - 1)
+    return det, math.prod(row_den for _, row_den in rows)
 
-    def minor(cols: int) -> IntDict:
-        got = minors.get(cols)
-        if got is not None:
-            return got
-        row = m[n - cols.bit_count()]
-        acc: IntDict = {}
-        sign = 1
-        rest = cols
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            entry = row[bit.bit_length() - 1]
-            if entry:
-                sub = minor(cols ^ bit)
-                if sub:
-                    _dict_addmul(acc, entry, sub, sign)
-            sign = -sign
-        out = minors[cols] = {e: c for e, c in acc.items() if c}
-        return out
 
-    return minor((1 << n) - 1), math.prod(row_den for _, row_den in rows)
+def _minor(m: Sequence[Sequence[IntDict]], minors: dict[int, IntDict], cols: int) -> IntDict:
+    """The minor of the square integer matrix ``m`` on its last
+    popcount(cols) rows and the columns set in ``cols``, expanded along its
+    first row.  ``minors`` memoizes the smaller minors and maps 0 to the
+    constant 1; as an argument, not a closure cell, it is freed by reference
+    counting when the caller drops it."""
+    row = m[len(m) - cols.bit_count()]
+    acc: IntDict = {}
+    sign = 1
+    rest = cols
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        entry = row[bit.bit_length() - 1]
+        if entry:
+            sub = minors.get(cols ^ bit)
+            if sub is None:
+                sub = _minor(m, minors, cols ^ bit)
+            if sub:
+                _dict_addmul(acc, entry, sub, sign)
+        sign = -sign
+    out = minors[cols] = {e: c for e, c in acc.items() if c}
+    return out
 
 
 def _from_terms(varset: VarSet, terms: Mapping, den: int = 1) -> Polynomial:
@@ -508,10 +509,6 @@ def _dict_add(a: IntDict, b: IntDict) -> IntDict:
         elif e in out:
             del out[e]
     return out
-
-
-def _dict_sub(a: IntDict, b: IntDict) -> IntDict:
-    return _dict_add(a, _dict_scale(b, -1))
 
 
 def _dict_mul(a: IntDict, b: IntDict) -> IntDict:
@@ -623,7 +620,7 @@ def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
 def _clear_denominators(*terms: Mapping[Exponent, Fraction]) -> tuple[list[IntDict], int]:
     """Scale term maps by the lcm of all their denominators; return the
     integer dicts and that lcm (1 when there are no terms)."""
-    den = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    den = math.lcm(*[c.denominator for t in terms for c in t.values()])
     return [
         {e: c.numerator * (den // c.denominator) for e, c in t.items()}
         for t in terms
@@ -770,7 +767,7 @@ def _prem(A: IntDict, B: IntDict, v: int) -> IntDict:
             ex[:v] + (dR - dB,) + ex[v + 1 :]: c
             for ex, c in _lc_in(R, v).items()
         }
-        R = _dict_sub(_dict_mul(lB, R), _dict_mul(lR, B))
+        R = _dict_add(_dict_mul(lB, R), _dict_scale(_dict_mul(lR, B), -1))
         steps += 1
     if steps < e and R:
         R = _dict_mul(R, _dict_pow(lB, e - steps))

@@ -19,6 +19,12 @@ that complex, a quotient of square determinants by Cayley's formula
 division and the normalization on integer term dicts; only the normalized
 resultant becomes a ``Polynomial`` again.  For every other spec it is the
 gcd of maximal minors of ``sigma_d``, with a minor budget.
+
+The rank test stays on integers: each row of a concrete morphism is cleared
+of denominators once, every Delta_{J,I} is an integer minor, and
+``row_echelon`` (Bareiss elimination that rescales a row only when it next
+uses it) takes the rank of the resulting columns, each the true column
+times a nonzero constant.  ``build_sigma`` divides by those constants.
 """
 
 from __future__ import annotations
@@ -44,10 +50,12 @@ from .polyring import (
     PolyError,
     Polynomial,
     VarSet,
+    _clear_denominators,
     _det_int,
     _dict_mul,
     _dict_try_div,
     _from_terms,
+    _minor,
     _normalize_int_dict,
     det_fraction_free,
     monomials_of_degree,
@@ -313,43 +321,60 @@ def build_sigma(
     d: int,
     phi: GenericMorphism | ConcreteMorphism,
 ) -> SigmaMatrix:
+    row_basis, col_basis, columns, omitted = _sigma_columns(spec, d, phi)
+    pv = VarSet(phi.param_names) if isinstance(phi, GenericMorphism) else None
+    if pv is not None:
+        zero = Polynomial.zero(pv)
+        cells = [[zero if v is None else _from_terms(pv, v) for v in col] for col in columns]
+    else:
+        cells = [[Fraction(v, scale) for v in col] for col, scale in columns]
+    entries = tuple(zip(*cells)) or ((),) * len(row_basis)
+    return SigmaMatrix(spec, d, row_basis, col_basis, entries, pv is not None, pv, omitted)
+
+
+def _sigma_columns(
+    spec: ProblemSpec, d: int, phi: GenericMorphism | ConcreteMorphism
+) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int]:
+    """The layout of sigma_d: row basis, column keys, columns and the count
+    of omitted column groups.  A generic column lists per row None or the
+    entry's term dict over the parameters.  A concrete column is a pair
+    (integer cells, scale): phi's rows are cleared of denominators once,
+    each Delta_{J,I} is an integer minor of the cleared rows, and the column
+    is the true one times ``scale``, the product of the row scales over J.
+    """
     require_existence(spec)
     if phi.spec != spec:
         raise PolyError("morphism spec does not match")
     if d < 0:
         raise PolyError("degree must be >= 0")
-    geo = geometric_names(spec)
-    nv = len(geo)
+    nv = spec.N + 1
     symbolic = isinstance(phi, GenericMorphism)
-    nparam = len(phi.param_names) if symbolic else 0
-    param_varset = VarSet(phi.param_names) if symbolic else None
-
+    if not symbolic:
+        cleared = [_clear_denominators(*[p.terms for p in row]) for row in phi.entries]
+        one = {(0,) * nv: 1}
     row_basis = tuple(monomials_of_degree(nv, d))
     row_index = {e: r for r, e in enumerate(row_basis)}
-
     col_basis: list[ColKey] = []
-    # entry accumulators: per column, a dict row -> coefficient dict/value
-    columns: list[list] = []
+    columns: list = []
     omitted = 0
-    zero_fill = Polynomial.zero(param_varset) if symbolic else Fraction(0)
-
     for J in combinations(range(1, spec.n + 1), spec.r + 1):
         for I in combinations(range(1, spec.m + 1), spec.r + 1):
-            mu_deg = (
-                d
-                - sum(spec.d[i - 1] for i in I)
-                + sum(spec.k[j - 1] for j in J)
-            )
+            mu_deg = d - sum(spec.d[i - 1] for i in I) + sum(spec.k[j - 1] for j in J)
             if mu_deg < 0:
                 omitted += 1
                 continue
-            sub = [[phi.entry(j, i) for i in I] for j in J]
-            delta = det_fraction_free(sub)
+            if symbolic:
+                delta = det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms
+            else:
+                sub = [[cleared[j - 1][0][i - 1] for i in I] for j in J]
+                delta = _minor(sub, {0: one}, (1 << len(J)) - 1)
+                scale = prod(cleared[j - 1][1] for j in J)
             for mu in monomials_of_degree(nv, mu_deg):
-                # e -> (rho, e[nv:]) is one-to-one: no cell is written twice.
-                col: list = [None] * len(row_basis)
-                for e, c in delta.terms.items():
-                    r = row_index[tuple(map(add, e[:nv], mu))]
+                # e -> (rho, e[nv:]) is one-to-one: no cell is written twice
+                # (map stops at the end of mu, so rho = e[:nv] + mu).
+                col: list = [None if symbolic else 0] * len(row_basis)
+                for e, c in delta.items():
+                    r = row_index[tuple(map(add, e, mu))]
                     if symbolic:
                         if col[r] is None:
                             col[r] = {}
@@ -357,31 +382,8 @@ def build_sigma(
                     else:
                         col[r] = c
                 col_basis.append((J, I, mu))
-                columns.append(col)
-
-    rows_out = []
-    for r in range(len(row_basis)):
-        row = []
-        for col in columns:
-            v = col[r]
-            if v is None:
-                row.append(zero_fill)
-            elif symbolic:
-                row.append(_from_terms(param_varset, v))
-            else:
-                row.append(v)
-        rows_out.append(tuple(row))
-
-    return SigmaMatrix(
-        spec=spec,
-        d=d,
-        row_basis=row_basis,
-        col_basis=tuple(col_basis),
-        entries=tuple(rows_out),
-        symbolic=symbolic,
-        param_varset=param_varset,
-        omitted_columns=omitted,
-    )
+                columns.append(col if symbolic else (col, scale))
+    return row_basis, tuple(col_basis), columns, omitted
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +397,30 @@ def row_echelon(
     """Exact rank by fraction-free elimination over Z.
 
     Each row is scaled once by the lcm of its denominators; forward Bareiss
-    elimination then runs on integers, every division exact.  Returns the
-    pivot columns (ascending: the lexicographically first maximal
-    independent column set), the pivot entries of Gaussian elimination on
-    the rational matrix and the row-swap sign.  The k-th pivot entry is
-    ``M_k / (M_{k-1} * den)``, with ``M_k`` the leading k x k minor of the
-    scaled, row-swapped matrix on the pivot columns and ``den`` the scale
-    of the pivot row.  Elimination stops once the rank reaches the row
-    count.
+    elimination then runs on integers.  Returns the pivot columns
+    (ascending: the lexicographically first maximal independent column
+    set), the pivot entries of Gaussian elimination on the rational matrix
+    and the row-swap sign.  The k-th pivot entry is ``M_k / (M_{k-1} *
+    den)``, with ``M_k`` the leading k x k minor of the scaled, row-swapped
+    matrix on the pivot columns and ``den`` the scale of the pivot row.
+    Elimination stops once the rank reaches the row count.
+
+    Step k replaces each row below the pivot by ``(M_k * row - f * top) /
+    M_{k-1}``, ``f`` being its entry in the pivot column.  For f = 0 that
+    is only a factor ``M_k / M_{k-1}``, which is skipped: with ``level[r]``
+    the ``M_j`` of the last step j that updated row r (initially 1), the
+    skipped factors telescope, and the true row is the stored one times
+    ``M_{k-1} / level[r]``.  So an update divides by ``level[r]``, and a new
+    pivot row is first multiplied by ``M_{k-1} // level[r]``, both exactly.
     """
-    dens = [lcm(*(v.denominator for v in row)) for row in matrix]
+    dens = [lcm(*[v.denominator for v in row]) for row in matrix]
     m = [
         [v.numerator * (den // v.denominator) for v in row]
         for row, den in zip(matrix, dens)
     ]
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    level = [1] * rows
     pivots: list[int] = []
     values: list[Fraction] = []
     sign = 1
@@ -423,18 +433,19 @@ def row_echelon(
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
             dens[rank], dens[pivot] = dens[pivot], dens[rank]
+            level[rank], level[pivot] = level[pivot], level[rank]
             sign = -sign
-        top = m[rank]
-        pv = top[c]
+        top = m[rank][c:]
+        if level[rank] != prev:
+            top = [a * prev // level[rank] for a in top]
+        pv = top[0]
         for r in range(rank + 1, rows):
             row = m[r]
             f = row[c]
-            # A row with a zero in the pivot column is still scaled: the
-            # Bareiss divisions below stay exact only if every row is.
             if f:
-                row[c:] = [(pv * a - f * b) // prev for a, b in zip(row[c:], top[c:])]
-            else:
-                row[c + 1 :] = [a * pv // prev for a in row[c + 1 :]]
+                lv = level[r]
+                row[c:] = [(pv * a - f * b) // lv for a, b in zip(row[c:], top)]
+                level[r] = pv
         pivots.append(c)
         values.append(Fraction(pv, prev * dens[rank]))
         prev = pv
@@ -864,14 +875,11 @@ def _resultant_by_minors(
             continue
         used += 1
         chosen.append(tuple(cand))
-        current = (
-            normalize_gcd_style(minor)
-            if current is None
-            else multivariate_gcd(current, minor)
-        )
-        if current.degree <= target:
-            break
-        if used >= minor_budget:
+        if current is None:
+            current = normalize_gcd_style(minor)
+        else:
+            current = multivariate_gcd(current, minor)
+        if current.degree <= target or used >= minor_budget:
             break
 
     assert current is not None
@@ -900,22 +908,17 @@ class SigmaRank(NamedTuple):
 def sigma_rank(
     spec: ProblemSpec, phi: ConcreteMorphism, d: int | None = None
 ) -> SigmaRank:
-    """Build ``sigma_d`` with the concrete entries and take its exact rank.
+    """The exact rank of ``sigma_d`` at a rational morphism.
 
     ``d`` defaults to the critical degree and may not be below it: only
-    there does a rank drop mean that the resultant vanishes.
+    there does a rank drop mean that the resultant vanishes.  The rank is
+    that of the integer columns of ``_sigma_columns``, each the true column
+    times a nonzero constant, which leaves the rank unchanged.
     """
-    require_existence(spec)
-    if phi.spec != spec:
-        raise PolyError("morphism spec does not match")
-    nu = critical_degree(spec)
-    if d is None:
-        d = nu
-    if d < nu:
-        raise PolyError(f"degree {d} is below the critical degree {nu}")
-    sigma = build_sigma(spec, d, phi)
-    rows, cols = sigma.shape
-    return SigmaRank(d, rows, cols, rational_rank(sigma.entries))
+    d = _resultant_degree(spec, d)
+    row_basis, col_basis, columns, _ = _sigma_columns(spec, d, phi)
+    matrix = list(zip(*[col for col, _ in columns]))
+    return SigmaRank(d, len(row_basis), len(col_basis), rational_rank(matrix))
 
 
 def vanish_test(

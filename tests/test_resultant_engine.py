@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -411,6 +411,56 @@ def _elimination_cases():
             m = [[x * a[c] + y * b[c] for c in range(cols)] for x, y in
                  ((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rows))]
         cases.append(m)
+    cases += _idle_row_cases(rng)
+    # int-entry copies of the Fraction cases, each row scaled by its lcm
+    for m in list(cases):
+        if any(type(x) is Fraction for row in m for x in row):
+            dens = [lcm(*(Fraction(x).denominator for x in row)) for row in m]
+            cases.append([[int(x * den) for x in row] for row, den in zip(m, dens)])
+    return cases
+
+
+def _idle_row_cases(rng):
+    """Matrices in which rows sit idle (a zero in the pivot column) for
+    several elimination steps and are then updated or become the pivot row:
+    staircase, banded, sparse, and a row updated at step 0 that waits out a
+    diagonal block before it is used again."""
+    pool = [1, -1, 2, 3, -5, 7, Fraction(1, 3), Fraction(-5, 2)]
+    cases = []
+    for t in range(32):
+        kind = t % 4
+        rows = rng.randint(3, 7)
+        cols = rng.randint(rows, rows + 4)
+        m = [[0] * cols for _ in range(rows)]
+        if kind == 0:  # staircase with repeated steps, rows shuffled
+            leads = sorted(rng.randrange(cols - 1) for _ in range(rows))
+            for row, lead in zip(m, leads):
+                row[lead] = rng.choice(pool)
+                for c in range(lead + 1, cols):
+                    row[c] = rng.choice(pool + [0, 0])
+            rng.shuffle(m)
+        elif kind == 1:  # banded, bandwidth 1 or 2
+            width = rng.randint(1, 2)
+            for r, row in enumerate(m):
+                for c in range(max(0, r - width), min(cols, r + width + 1)):
+                    row[c] = rng.choice(pool)
+        elif kind == 2:  # sparse, some rows possibly zero
+            for row in m:
+                for c in range(cols):
+                    if rng.random() < 0.3:
+                        row[c] = rng.choice(pool)
+        else:  # rows 1..k a diagonal block; rows 0 and the last two start at column 0
+            k = rows - 3
+            for r in (0, rows - 2, rows - 1):
+                m[r][0] = rng.choice(pool)
+            for r in range(1, k + 1):
+                m[r][r] = rng.choice(pool)
+            for row in m:
+                for c in range(k + 1, cols):
+                    row[c] = rng.choice(pool + [0])
+            if t % 8 == 7:  # the idle rows arrive by a row swap
+                m[1], m[-1] = m[-1], m[1]
+        cases.append([[Fraction(x) if t % 3 else x for x in row] for row in m])
     return cases
 
 
@@ -424,12 +474,15 @@ class TestRowEchelon:
         oracle = sympy.Matrix(
             [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in matrix]
         )
-        pivots, _, _ = row_echelon(matrix)
+        pivots, values, sign = row_echelon(matrix)
         assert rational_rank(matrix) == oracle.rank()
         assert tuple(pivots) == oracle.rref()[1]
         if len(matrix) == len(matrix[0]):
             det = oracle.det()
             assert rational_det(matrix) == Fraction(int(det.p), int(det.q))
+        if len(pivots) == len(matrix):  # the signed pivot product is a minor
+            det = oracle.extract(list(range(len(matrix))), pivots).det()
+            assert prod(values, start=Fraction(sign)) == Fraction(int(det.p), int(det.q))
 
     @pytest.mark.parametrize("matrix", _elimination_cases())
     def test_against_gaussian(self, matrix):
@@ -511,6 +564,127 @@ class TestSigmaRank56x120:
         result = sigma_rank(self.SPEC, phi)
         assert (result.rank, result.vanishes) == (55, True)
         assert vanish_test(self.SPEC, phi) is True
+
+
+def rational_morphism(spec, rng, point=None):
+    """Seeded rational morphism with coefficients such as 1/3 and -5/2 and
+    some zero entries.  With ``point`` (x0 = 1) the x0^deg coefficient of
+    each entry is adjusted so that phi(point) is u v^T for r = 1 (0 for
+    r = 0): rank r at that point, so the resultant vanishes."""
+    pool = [0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+    varset = VarSet(tuple(f"x{t}" for t in range(spec.N + 1)))
+    u = [rng.choice([0, 1, -2]) if spec.r else 0 for _ in range(spec.n)]
+    v = [rng.choice([0, 3, Fraction(1, 3)]) if spec.r else 0 for _ in range(spec.m)]
+    rows = []
+    for j in range(spec.n):
+        row = []
+        for i in range(spec.m):
+            deg = spec.d[i] - spec.k[j]
+            terms = {e: Fraction(rng.choice(pool)) for e in monomials_of_degree(spec.N + 1, deg)}
+            if rng.random() < 0.2 and (point is None or u[j] * v[i] == 0):
+                terms = {}
+            elif point is not None:
+                at_p = sum(c * prod(x**k for x, k in zip(point, e)) for e, c in terms.items())
+                lead = (deg,) + (0,) * spec.N
+                terms[lead] += u[j] * v[i] - at_p
+            row.append(Polynomial(varset, terms))
+        rows.append(tuple(row))
+    return ConcreteMorphism(spec, varset, tuple(rows))
+
+
+def sigma_by_minors(sigma, phi):
+    """Oracle: concrete sigma_d with each column Delta_{J,I} * mu taken
+    from ``det_fraction_free`` of the rational minor, as Fraction cells."""
+    index = {e: r for r, e in enumerate(sigma.row_basis)}
+    cols = []
+    for J, I, mu in sigma.col_basis:
+        col = [Fraction(0)] * len(index)
+        delta = polyring.det_fraction_free([[phi.entry(j, i) for i in I] for j in J])
+        for e, c in delta.terms.items():
+            col[index[tuple(a + b for a, b in zip(e, mu))]] = c
+        cols.append(col)
+    return tuple(zip(*cols))
+
+
+class TestConcreteSigma:
+    """The integer rank test against two oracles: the rank of the Fraction
+    sigma that ``build_sigma`` returns, and the generic sigma evaluated at
+    the morphism's parameters."""
+
+    SPECS = [
+        ProblemSpec(3, 3, 1, (1, 1, 1), (0, 0, 0)),
+        ProblemSpec(2, 1, 0, (2, 3), (0,)),
+        ProblemSpec(3, 1, 0, (1, 2, 2), (0,)),
+        ProblemSpec(3, 2, 1, (0, 0, 0), (-1, -2)),
+    ]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("spec", SPECS, ids=["331-k0", "sylvester-210", "macaulay-310", "principal-321"])
+    def test_against_oracles(self, spec, extra):
+        rng = random.Random(0x5C + 7 * extra + spec.m * spec.n)
+        gen = generic_morphism(spec)
+        d = critical_degree(spec) + extra
+        generic = build_sigma(spec, d, gen)
+        point = (1,) + tuple(rng.choice([-1, 2, Fraction(1, 2)]) for _ in range(spec.N))
+        for vanishing in (False, True):
+            phi = rational_morphism(spec, rng, point if vanishing else None)
+            sigma = build_sigma(spec, d, phi)
+            # small random draws vanish now and then: redraw until full rank
+            # modulo a prime certifies full rank over Q
+            while not vanishing and rank_mod_p(sigma.entries) < len(sigma.row_basis):
+                phi = rational_morphism(spec, rng)
+                sigma = build_sigma(spec, d, phi)
+            assert all(type(x) is Fraction for row in sigma.entries for x in row)
+            assert sigma.entries == sigma_by_minors(sigma, phi)
+            values = parameter_assignment(gen, phi)
+            at = tuple(tuple(p.evaluate(values) for p in row) for row in generic.entries)
+            assert sigma.entries == at
+            result = sigma_rank(spec, phi, d)
+            assert (result.d, result.rows, result.cols) == (d, *sigma.shape)
+            assert result.rank == rational_rank(sigma.entries) == rational_rank(at)
+            assert result.vanishes is vanishing
+
+    def test_rank_goes_through_rational_rank(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(len(matrix))
+            return rational_rank(matrix)
+
+        monkeypatch.setattr(resultant_engine, "rational_rank", counted)
+        spec = self.SPECS[0]
+        result = sigma_rank(spec, rational_morphism(spec, random.Random(3)))
+        assert calls == [result.rows]
+
+
+def test_no_cyclic_garbage():
+    """The determinant's memo of minors is freed by reference counting: no
+    cyclic garbage is left for the collector."""
+    import gc
+
+    from detres.scroll_chow import chow_form
+
+    vs = VarSet(("x", "y"))
+    x, y = Polynomial.variable(vs, "x"), Polynomial.variable(vs, "y")
+    matrix = [[x + 1, y, x * y], [y, Fraction(1, 3) * x, y + 2], [x, y, Polynomial.constant(vs, 5)]]
+    spec = ProblemSpec(3, 2, 1, (0, 0, 0), (-1, -2))
+    phi = staircase_specialization(spec)
+
+    def run():
+        polyring.det_fraction_free(matrix)
+        sigma_rank(spec, phi)
+        chow_form(ScrollSpec((1, 1)))
+
+    run()  # first use: imports and caches
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _forms_assignment(forms):
