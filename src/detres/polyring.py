@@ -7,13 +7,20 @@ variable sets and term maps are equal.  All operations are pure; values are
 immutable after construction and safe to share between threads.
 
 ``Fraction`` appears only in ``Polynomial.terms``.  The determinant (a
-division-free memoized minor expansion), exact division and the gcd first
-clear denominators once and then run on integer term dicts; by Gauss's
-lemma an exact division over Q is exact over Z once the divisor is
-primitive.  ``_det_int`` (the determinant on integer dicts), ``_minor``
-(its expansion, for a matrix already on integer dicts) and ``_from_terms``
-(a ``Polynomial`` from a canonical term dict, unchecked) let callers stay
-on integer dicts across several steps.
+division-free memoized minor expansion), exact division and the gcd clear
+denominators once (by Gauss's lemma an exact division over Q is exact over
+Z once the divisor is primitive) and run on the integer kernel
+(``_det_packed``, ``_dict_mul``, ``_dict_try_div``, ``_normalize_int_dict``),
+whose term dicts are keyed by packed exponents: a monomial product is one
+int add.  With P variables, the top field of a packed exponent holds the
+total degree and the P fields below it the exponents of variables 0 (most
+significant) to P-1.  A field is w value bits under a guard bit that stays
+0; ``_field_bits`` takes w from a bound on every degree a computation
+reaches, rounded up to whole bytes, so no field carries into the next.  Int
+order is then graded-lex order, the leading term is ``max(p)``, and ``lead``
+divides ``m`` exactly when ``((m | G) - lead) & G == G`` for the guard bits
+G: a field that would borrow clears its own guard bit instead.  Callers on
+exponent tuples pack at the boundary and unpack once.
 
 Monomial order is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple with the leftmost variable most significant).
@@ -25,8 +32,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache, reduce
+from struct import Struct
 from itertools import combinations_with_replacement
-from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -212,7 +220,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return Polynomial(self.varset, _dict_scale(self.terms, Fraction(other)))
         self._check_varset(other)
-        return Polynomial(self.varset, _dict_mul(self.terms, other.terms))
+        return Polynomial(self.varset, _mul_tuples(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -221,7 +229,9 @@ class Polynomial:
             raise PolyError("negative powers are not supported")
         if k == 0:
             return Polynomial.constant(self.varset, 1)
-        return Polynomial(self.varset, _dict_pow(self.terms, k))
+        nv, s = len(self.varset), _field_bits(k * max(map(sum, self.terms), default=0))
+        packed = [_pack(self.terms, nv, s)] * k
+        return Polynomial(self.varset, _unpack(reduce(_dict_mul, packed), nv, s))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -372,7 +382,7 @@ def try_exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
     (P,), p_den = _clear_denominators(p.terms)
     (D,), d_den = _clear_denominators(d.terms)
     content = _int_content(D)
-    q = _dict_try_div(P, {e: c // content for e, c in D.items()})
+    q = _div_tuples(P, {e: c // content for e, c in D.items()})
     if q is None:
         return None
     scale = Fraction(d_den, p_den * content)
@@ -395,63 +405,61 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix by memoized minor expansion.
 
     Each row is scaled by the lcm of its denominators.  The integer
-    determinant is then expanded along the rows, top to bottom, with every
-    minor on the remaining rows computed once and cached by its column set
-    (Gentleman & Johnson, ACM TOMS 2(3), 1976): only ring operations, no
-    division, and zero entries and zero minors are skipped.  The result is
-    divided by the product of the row lcms once at the end; it is identical
-    to cofactor expansion.
+    determinant is then built from its minors one row at a time, every
+    minor computed once per column set (Gentleman & Johnson, ACM TOMS 2(3),
+    1976; see ``_det_packed``): only ring operations, no division, and zero
+    entries and zero minors are skipped.  The result is divided by the
+    product of the row lcms once at the end; it is identical to cofactor
+    expansion.  The expansion runs on packed exponents, with fields for
+    degrees up to n times the largest entry degree.
     """
-    det, den = _det_int(matrix)
-    return _from_terms(matrix[0][0].varset, det, den)
-
-
-def _det_int(matrix: Sequence[Sequence[Polynomial]]) -> tuple[IntDict, int]:
-    """The integer core of ``det_fraction_free``: the determinant of the
-    row-scaled matrix as an integer term dict, and the product of the row
-    scales, which the determinant of ``matrix`` is that dict divided by."""
     n = len(matrix)
     if n == 0:
         raise PolyError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
     rows = [_clear_denominators(*[entry.terms for entry in row]) for row in matrix]
-    one = {(0,) * len(matrix[0][0].varset): 1}
-    det = _minor([int_row for int_row, _ in rows], {0: one}, (1 << n) - 1)
-    return det, math.prod(row_den for _, row_den in rows)
+    nv = len(matrix[0][0].varset)
+    s = _field_bits(n * max([sum(e) for int_row, _ in rows for t in int_row for e in t], default=0))
+    det = _det_packed([[_pack(t, nv, s) for t in int_row] for int_row, _ in rows])
+    return _from_terms(matrix[0][0].varset, _unpack(det, nv, s), math.prod(d for _, d in rows))
 
 
-def _minor(m: Sequence[Sequence[IntDict]], minors: dict[int, IntDict], cols: int) -> IntDict:
-    """The minor of the square integer matrix ``m`` on its last
-    popcount(cols) rows and the columns set in ``cols``, expanded along its
-    first row.  ``minors`` memoizes the smaller minors and maps 0 to the
-    constant 1; as an argument, not a closure cell, it is freed by reference
-    counting when the caller drops it."""
-    row = m[len(m) - cols.bit_count()]
-    acc: IntDict = {}
-    sign = 1
-    rest = cols
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        entry = row[bit.bit_length() - 1]
-        if entry:
-            sub = minors.get(cols ^ bit)
-            if sub is None:
-                sub = _minor(m, minors, cols ^ bit)
-            if sub:
-                _dict_addmul(acc, entry, sub, sign)
-        sign = -sign
-    out = minors[cols] = {e: c for e, c in acc.items() if c}
-    return out
+def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
+    """The determinant of the square matrix ``m`` of packed integer dicts.
+
+    The rows are taken one at a time from the end whose row has fewer
+    nonzero entries.  ``level`` maps each column set to the nonzero minor
+    on it and the rows taken; one more row gives the sum over columns c of
+    +-entry(c) times the minor on the other columns (Laplace's expansion
+    along that row).  Only two levels of nonzero minors are kept."""
+    top = sum(map(bool, m[0])) < sum(map(bool, m[-1]))
+    rows = m if top else m[::-1]
+    level = {1 << c: entry for c, entry in enumerate(rows[0]) if entry}
+    for t, row in enumerate(rows[1:], start=1):
+        entries = [(1 << c, entry) for c, entry in enumerate(row) if entry]
+        grown: dict[int, IntDict] = {}
+        for cols, sub in level.items():
+            for bit, entry in entries:
+                if not cols & bit:
+                    acc = grown.get(cols | bit)
+                    if acc is None:
+                        acc = grown[cols | bit] = {}
+                    odd = ((cols & (bit - 1)).bit_count() + top * t) & 1
+                    _dict_addmul(acc, entry, sub, -1 if odd else 1)
+        level = {cols: out for cols, acc in grown.items() if (out := {e: c for e, c in acc.items() if c})}
+    return level.get((1 << len(m)) - 1, {})
 
 
-def _from_terms(varset: VarSet, terms: Mapping, den: int = 1) -> Polynomial:
+def _from_terms(varset: VarSet, terms: Mapping, den: int | None = 1) -> Polynomial:
     """The polynomial ``terms / den`` from a canonical term dict (exponent
     tuples of the varset's length, int or Fraction coefficients, none
-    zero), built without ``Polynomial``'s per-term checks."""
+    zero), built without ``Polynomial``'s per-term checks.  With ``den``
+    None the coefficients are Fractions already, and ``terms`` is kept."""
     p = Polynomial(varset, {})
-    if den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
+    if den is None:
+        canon = terms
+    elif den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
         canon = {e: Fraction(c) for e, c in terms.items()}
     else:
         canon = {e: Fraction(c, den) for e, c in terms.items()}
@@ -480,7 +488,7 @@ def multivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         raise PolyError("gcd(0, 0) is undefined")
     (P, Q), _ = _clear_denominators(p.terms, q.terms)
     P, Q = ({e: t[e] for e in sorted(t, key=glex_key, reverse=True)} for t in (P, Q))
-    return Polynomial(p.varset, _normalize_int_dict(_gcd_dict(P, Q)))
+    return Polynomial(p.varset, _normalize_int_dict(_gcd_dict(P, Q), glex_key))
 
 
 def normalize_gcd_style(p: Polynomial) -> Polynomial:
@@ -489,15 +497,14 @@ def normalize_gcd_style(p: Polynomial) -> Polynomial:
     if p.is_zero():
         raise PolyError("cannot normalize the zero polynomial")
     (P,), _ = _clear_denominators(p.terms)
-    return Polynomial(p.varset, _normalize_int_dict(P))
+    return Polynomial(p.varset, _normalize_int_dict(P, glex_key))
 
 
 # -- dict-level helpers ------------------------------------------------------
-# The ring helpers (_dict_add to _dict_pow) only add and multiply, so
-# Polynomial runs them on its Fraction terms too; everything that divides
-# takes integer dicts.
+# _dict_add and _dict_scale take any keys and coefficients; the kernel takes
+# packed exponents, and everything that divides takes integer dicts.
 
-IntDict = dict  # Exponent -> int
+IntDict = dict  # packed exponent (or Exponent, where said) -> int
 
 
 def _dict_add(a: IntDict, b: IntDict) -> IntDict:
@@ -512,20 +519,11 @@ def _dict_add(a: IntDict, b: IntDict) -> IntDict:
 
 
 def _dict_mul(a: IntDict, b: IntDict) -> IntDict:
-    if not a or not b:
-        return {}
     if len(b) < len(a):
         a, b = b, a
-    out: IntDict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+    acc: IntDict = {}
+    _dict_addmul(acc, a, b, 1)
+    return {e: c for e, c in acc.items() if c}
 
 
 def _dict_addmul(acc: IntDict, a: IntDict, b: IntDict, sign: int) -> None:
@@ -534,7 +532,7 @@ def _dict_addmul(acc: IntDict, a: IntDict, b: IntDict, sign: int) -> None:
     for e1, c1 in a.items():
         c1 *= sign
         for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
 
 
@@ -544,77 +542,90 @@ def _dict_scale(a: IntDict, c) -> IntDict:
     return {e: v * c for e, v in a.items()}
 
 
-def _dict_pow(a: IntDict, k: int) -> IntDict:
-    """``a**k`` for ``k >= 1`` by binary powering."""
-    out = None
-    while k:
-        if k & 1:
-            out = a if out is None else _dict_mul(out, a)
-        k >>= 1
-        if k:
-            a = _dict_mul(a, a)
-    return out
-
-
-def _dict_try_div(p: IntDict, d: IntDict) -> IntDict | None:
-    """Exact division of integer term dicts under graded-lex; None if the
-    quotient is not an integer polynomial.
-
-    A monomial divisor shifts the exponents.  Otherwise the dividend is
-    walked once in graded-lex order while a heap holds the pending products
-    of the quotient terms found so far with the divisor's other terms
-    (Monagan & Pearce, CASC 2007).  Heap keys are exponents negated with
-    the negated degree in front, so that tuple order is graded-lex
-    descending and a monomial product is an elementwise sum.
-    """
+def _dict_try_div(p: IntDict, d: IntDict, s: int) -> IntDict | None:
+    """Exact division of packed integer term dicts, in fields of ``s`` bits
+    that hold the degrees of both; None if the quotient is not an integer
+    polynomial.  The dividend is walked once in graded-lex (int) order while
+    a heap holds the pending products of the quotient terms found so far
+    with the divisor's other terms (Monagan & Pearce, CASC 2007), keyed by
+    their negated exponents: no product exceeds the dividend's degree."""
     if not d:
         raise PolyError("division by zero")
     if not p:
         return {}
-    if len(d) == 1:
-        ((de, dc),) = d.items()
-        q: IntDict = {}
-        for e, c in p.items():
-            te = tuple(map(sub, e, de))
-            tc, rem = divmod(c, dc)
-            if rem or min(te, default=0) < 0:
-                return None
-            q[te] = tc
-        return q
     # Imported here so that importing detres (and starting the CLI) loads
     # no module it did not load before.
     from heapq import heappop, heappush
 
-    def key(e: Exponent) -> Exponent:
-        return (-sum(e),) + tuple(-x for x in e)
-
-    (lead, dc), *rest = sorted((key(e), c) for e, c in d.items())
-    dividend = sorted((key(e), c) for e, c in p.items())
-    q_keys: list[Exponent] = []
+    # Every guard bit of the fields up to the top one of p and d.
+    top = max(max(p), max(d)).bit_length() // s + 1
+    guards = ((1 << top * s) - 1) // ((1 << s) - 1) << (s - 1)
+    (lead, dc), *rest = sorted(d.items(), reverse=True)
+    dividend = sorted(p.items(), reverse=True)
+    q_exps: list[int] = []
     q_coeffs: list[int] = []
-    heap: list[tuple[Exponent, int, int]] = []
+    heap: list[tuple[int, int, int]] = []
     k = 0
     while k < len(dividend) or heap:
-        if k < len(dividend) and (not heap or dividend[k][0] <= heap[0][0]):
+        if k < len(dividend) and (not heap or dividend[k][0] >= -heap[0][0]):
             m, c = dividend[k]
             k += 1
         else:
-            m, c = heap[0][0], 0
-        while heap and heap[0][0] == m:
+            m, c = -heap[0][0], 0
+        while heap and heap[0][0] == -m:
             _, i, j = heappop(heap)
             c -= q_coeffs[i] * rest[j][1]
             if j + 1 < len(rest):
-                heappush(heap, (tuple(map(add, q_keys[i], rest[j + 1][0])), i, j + 1))
+                heappush(heap, (-q_exps[i] - rest[j + 1][0], i, j + 1))
         if not c:
             continue
-        te = tuple(map(sub, m, lead))
         tc, rem = divmod(c, dc)
-        if rem or max(te) > 0:
+        if rem or ((m | guards) - lead) & guards != guards:
             return None
-        q_keys.append(te)
+        q_exps.append(m - lead)
         q_coeffs.append(tc)
-        heappush(heap, (tuple(map(add, te, rest[0][0])), len(q_keys) - 1, 0))
-    return {tuple(-x for x in t[1:]): c for t, c in zip(q_keys, q_coeffs)}
+        if rest:
+            heappush(heap, (lead - m - rest[0][0], len(q_exps) - 1, 0))
+    return dict(zip(q_exps, q_coeffs))
+
+
+def _field_bits(bound: int) -> int:
+    """The field size s = w + 1 (8, 16, 32 or 64) for degrees up to ``bound``."""
+    return 8 << (bound.bit_length() // 8).bit_length()
+
+
+@cache
+def _layout(nvars: int, s: int) -> Struct:
+    """The fields of a packed exponent, whole bytes: degree, then variables."""
+    return Struct(f">{nvars + 1}{'BHIQ'[s.bit_length() - 4]}")
+
+
+def _pack(terms: Mapping[Exponent, object], nvars: int, s: int) -> IntDict:
+    """Exponent-tuple terms with packed exponents, in fields of ``s`` bits."""
+    pack = _layout(nvars, s).pack
+    return {int.from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
+
+
+def _unpack(terms: IntDict, nvars: int, s: int) -> dict:
+    """Packed terms with exponent tuples again."""
+    layout = _layout(nvars, s)
+    unpack, size = layout.unpack, layout.size
+    return {unpack(key.to_bytes(size, "big"))[1:]: c for key, c in terms.items()}
+
+
+def _mul_tuples(a: IntDict, b: IntDict) -> IntDict:
+    """``_dict_mul`` on exponent-tuple dicts: packed for it, unpacked once."""
+    if not a or not b:
+        return {}
+    nv, s = len(next(iter(a))), _field_bits(max(map(sum, a)) + max(map(sum, b)))
+    return _unpack(_dict_mul(_pack(a, nv, s), _pack(b, nv, s)), nv, s)
+
+
+def _div_tuples(p: IntDict, d: IntDict) -> IntDict | None:
+    """``_dict_try_div`` on nonzero exponent-tuple dicts: packed, unpacked once."""
+    nv, s = len(next(iter(p))), _field_bits(max(map(sum, [*p, *d])))
+    q = _dict_try_div(_pack(p, nv, s), _pack(d, nv, s), s)
+    return None if q is None else _unpack(q, nv, s)
 
 
 def _clear_denominators(*terms: Mapping[Exponent, Fraction]) -> tuple[list[IntDict], int]:
@@ -636,12 +647,13 @@ def _int_content(p: IntDict) -> int:
     return g
 
 
-def _normalize_int_dict(p: IntDict) -> IntDict:
-    """Integer content 1, positive graded-lex leading coefficient."""
+def _normalize_int_dict(p: IntDict, key=None) -> IntDict:
+    """Integer content 1, positive graded-lex leading coefficient; ``key``
+    is ``glex_key`` for exponent tuples, None for packed exponents."""
     if not p:
         return {}
     g = _int_content(p)
-    if p[max(p, key=glex_key)] < 0:
+    if p[max(p, key=key)] < 0:
         g = -g
     return {e: c // g for e, c in p.items()}
 
@@ -722,7 +734,7 @@ def _gcd_primitive(P: IntDict, Q: IntDict) -> IntDict:
     g = _prs_gcd(ppP, ppQ, v)
     if _is_const(contg) and next(iter(contg.values())) in (1, -1):
         return g
-    return _dict_mul(contg, g)
+    return _mul_tuples(contg, g)
 
 
 def _nvars(P: IntDict, Q: IntDict) -> int:
@@ -741,7 +753,7 @@ def _content_pp(P: IntDict, v: int) -> tuple[IntDict, IntDict]:
     if _is_const(cont) and abs(next(iter(cont.values()))) == 1:
         nv = _nvars(P, P)
         return {(0,) * nv: 1}, P
-    pp = _dict_try_div(P, cont)
+    pp = _div_tuples(P, cont)
     if pp is None:  # pragma: no cover - content divides by construction
         raise PolyError("internal error: content does not divide")
     return cont, pp
@@ -767,10 +779,10 @@ def _prem(A: IntDict, B: IntDict, v: int) -> IntDict:
             ex[:v] + (dR - dB,) + ex[v + 1 :]: c
             for ex, c in _lc_in(R, v).items()
         }
-        R = _dict_add(_dict_mul(lB, R), _dict_scale(_dict_mul(lR, B), -1))
+        R = _dict_add(_mul_tuples(lB, R), _dict_scale(_mul_tuples(lR, B), -1))
         steps += 1
     if steps < e and R:
-        R = _dict_mul(R, _dict_pow(lB, e - steps))
+        R = reduce(_mul_tuples, [lB] * (e - steps), R)
     return R
 
 
@@ -801,16 +813,15 @@ def _prs_gcd(A: IntDict, B: IntDict, v: int) -> IntDict:
         if _deg_in(R, v) == 0:
             return dict(one)
         cand = {e: c // _int_content(R) for e, c in R.items()}
-        if _dict_try_div(P0, cand) is not None and _dict_try_div(Q0, cand) is not None:
+        if _div_tuples(P0, cand) is not None and _div_tuples(Q0, cand) is not None:
             return cand
-        divisor = _dict_mul(g, _dict_pow(h, delta)) if delta else g
-        Rn = _dict_try_div(R, divisor)
+        Rn = _div_tuples(R, reduce(_mul_tuples, [h] * delta, g))
         if Rn is None:  # pragma: no cover - subresultant theory guarantees it
             raise PolyError("internal error: inexact PRS division")
         A, B = B, Rn
         g = _lc_in(A, v)
         if delta > 0:
-            hn = _dict_try_div(_dict_pow(g, delta), _dict_pow(h, delta - 1)) if delta > 1 else _dict_pow(g, 1)
+            hn = _div_tuples(reduce(_mul_tuples, [g] * delta), reduce(_mul_tuples, [h] * (delta - 1), one))
             if hn is None:  # pragma: no cover
                 raise PolyError("internal error: inexact h update")
             h = hn

@@ -14,14 +14,14 @@ two routes.  For r = 0 (sigma_d is the Macaulay map of the m*n entries,
 resolved by their Koszul complex) and for r = n - 1 with m = n + 1 (the
 Eagon-Northcott complex) it is the determinant of the degree-d strand of
 that complex, a quotient of square determinants by Cayley's formula
-(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  That route leaves
-``Fraction`` at the block determinants and runs their products, the exact
-division and the normalization on integer term dicts; only the normalized
-resultant becomes a ``Polynomial`` again.  For every other spec it is the
+(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  That route packs
+the blocks once and runs their determinants, products, exact division and
+normalization on packed integer term dicts; only the normalized resultant
+becomes a ``Polynomial`` again.  For every other spec it is the
 gcd of maximal minors of ``sigma_d``, with a minor budget.
 
 The rank test stays on integers: each row of a concrete morphism is cleared
-of denominators once, every Delta_{J,I} is an integer minor, and
+of denominators and packed once, every Delta_{J,I} is an integer minor, and
 ``row_echelon`` (Bareiss elimination that rescales a row only when it next
 uses it) takes the rank of the resulting columns, each the true column
 times a nonzero constant.  ``build_sigma`` divides by those constants.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, chain, combinations
 from math import lcm, prod
 from operator import add
@@ -51,12 +51,14 @@ from .polyring import (
     Polynomial,
     VarSet,
     _clear_denominators,
-    _det_int,
     _dict_mul,
+    _det_packed,
     _dict_try_div,
+    _field_bits,
     _from_terms,
-    _minor,
     _normalize_int_dict,
+    _pack,
+    _unpack,
     det_fraction_free,
     monomials_of_degree,
     multivariate_gcd,
@@ -154,20 +156,10 @@ def generic_morphism(
                 param_names.append(name)
                 param_column[name] = i
     varset = VarSet(geo + tuple(param_names))
-    pad = (0,) * len(param_names)
-    entries = []
-    for j in range(1, spec.n + 1):
-        row = []
-        for i in range(1, spec.m + 1):
-            terms = {}
-            deg = spec.d[i - 1] - spec.k[j - 1]
-            for exps in monomials_of_degree(nv, deg):
-                name = coeff_names[(j, i, exps)]
-                pe = [0] * len(param_names)
-                pe[param_names.index(name)] = 1
-                terms[exps + tuple(pe)] = Fraction(1)
-            row.append(Polynomial(varset, terms))
-        entries.append(tuple(row))
+    one, zeros = Fraction(1), (0,) * len(param_names)
+    entries = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
+    for t, (j, i, exps) in enumerate(coeff_names):  # parameter t is the t-th name
+        entries[j - 1][i - 1][exps + zeros[:t] + (1,) + zeros[t + 1 :]] = one
     return GenericMorphism(
         spec=spec,
         varset=varset,
@@ -175,7 +167,7 @@ def generic_morphism(
         param_names=tuple(param_names),
         coeff_names=coeff_names,
         param_column=param_column,
-        entries=tuple(entries),
+        entries=tuple(tuple(_from_terms(varset, t, None) for t in row) for row in entries),
     )
 
 
@@ -325,7 +317,7 @@ def build_sigma(
     pv = VarSet(phi.param_names) if isinstance(phi, GenericMorphism) else None
     if pv is not None:
         zero = Polynomial.zero(pv)
-        cells = [[zero if v is None else _from_terms(pv, v) for v in col] for col in columns]
+        cells = [[zero if v is None else _from_terms(pv, v, None) for v in col] for col in columns]
     else:
         cells = [[Fraction(v, scale) for v in col] for col, scale in columns]
     entries = tuple(zip(*cells)) or ((),) * len(row_basis)
@@ -337,10 +329,11 @@ def _sigma_columns(
 ) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int]:
     """The layout of sigma_d: row basis, column keys, columns and the count
     of omitted column groups.  A generic column lists per row None or the
-    entry's term dict over the parameters.  A concrete column is a pair
-    (integer cells, scale): phi's rows are cleared of denominators once,
-    each Delta_{J,I} is an integer minor of the cleared rows, and the column
-    is the true one times ``scale``, the product of the row scales over J.
+    entry's term dict over the parameters, with the Fraction coefficients
+    of ``det_fraction_free``.  A concrete column is a pair (integer cells,
+    scale): phi's rows are cleared of denominators and packed once, each
+    Delta_{J,I} is an integer minor of the packed rows, and the column is
+    the true one times ``scale``, the product of the row scales over J.
     """
     require_existence(spec)
     if phi.spec != spec:
@@ -349,11 +342,17 @@ def _sigma_columns(
         raise PolyError("degree must be >= 0")
     nv = spec.N + 1
     symbolic = isinstance(phi, GenericMorphism)
+    monomials = keys = cache(lambda deg: monomials_of_degree(nv, deg))
+    row_basis = tuple(monomials(d))
+    row_index = {e: r for r, e in enumerate(row_basis)}
     if not symbolic:
         cleared = [_clear_denominators(*[p.terms for p in row]) for row in phi.entries]
-        one = {(0,) * nv: 1}
-    row_basis = tuple(monomials_of_degree(nv, d))
-    row_index = {e: r for r, e in enumerate(row_basis)}
+        # Delta_{J,I} * mu has degree d, a minor at most r+1 entry degrees.
+        top = max([sum(e) for row, _ in cleared for t in row for e in t], default=0)
+        s = _field_bits(max(d, (spec.r + 1) * top))
+        packed = [[_pack(t, nv, s) for t in row] for row, _ in cleared]
+        row_index = _pack(row_index, nv, s)
+        keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
     col_basis: list[ColKey] = []
     columns: list = []
     omitted = 0
@@ -366,21 +365,20 @@ def _sigma_columns(
             if symbolic:
                 delta = det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms
             else:
-                sub = [[cleared[j - 1][0][i - 1] for i in I] for j in J]
-                delta = _minor(sub, {0: one}, (1 << len(J)) - 1)
+                delta = _det_packed([[packed[j - 1][i - 1] for i in I] for j in J])
                 scale = prod(cleared[j - 1][1] for j in J)
-            for mu in monomials_of_degree(nv, mu_deg):
+            for mu, key in zip(monomials(mu_deg), keys(mu_deg)):
                 # e -> (rho, e[nv:]) is one-to-one: no cell is written twice
                 # (map stops at the end of mu, so rho = e[:nv] + mu).
                 col: list = [None if symbolic else 0] * len(row_basis)
                 for e, c in delta.items():
-                    r = row_index[tuple(map(add, e, mu))]
                     if symbolic:
+                        r = row_index[tuple(map(add, e, mu))]
                         if col[r] is None:
                             col[r] = {}
                         col[r][e[nv:]] = c
                     else:
-                        col[r] = c
+                        col[row_index[e + key]] = c
                 col_basis.append((J, I, mu))
                 columns.append(col if symbolic else (col, scale))
     return row_basis, tuple(col_basis), columns, omitted
@@ -396,8 +394,9 @@ def row_echelon(
 ) -> tuple[list[int], list[Fraction], int]:
     """Exact rank by fraction-free elimination over Z.
 
-    Each row is scaled once by the lcm of its denominators; forward Bareiss
-    elimination then runs on integers.  Returns the pivot columns
+    Each row is scaled once by the lcm of its denominators (an all-int
+    matrix is taken as it is); forward Bareiss elimination then runs on
+    integers.  Returns the pivot columns
     (ascending: the lexicographically first maximal independent column
     set), the pivot entries of Gaussian elimination on the rational matrix
     and the row-swap sign.  The k-th pivot entry is ``M_k / (M_{k-1} *
@@ -413,9 +412,10 @@ def row_echelon(
     ``M_{k-1} / level[r]``.  So an update divides by ``level[r]``, and a new
     pivot row is first multiplied by ``M_{k-1} // level[r]``, both exactly.
     """
-    dens = [lcm(*[v.denominator for v in row]) for row in matrix]
+    ints = all(type(v) is int for row in matrix for v in row)
+    dens = [1 if ints else lcm(*[v.denominator for v in row]) for row in matrix]
     m = [
-        [v.numerator * (den // v.denominator) for v in row]
+        list(row) if ints else [v.numerator * (den // v.denominator) for v in row]
         for row, den in zip(matrix, dens)
     ]
     rows = len(m)
@@ -771,31 +771,35 @@ def _resultant_by_complex(
             raise PolyError("could not find compatible nonsingular blocks")
     pv = sigma.param_varset
     assert pv is not None
-    # Only the blocks of the later differentials have +-parameter entries.
-    later = any(rows for rows, _ in blocks[1:])
-    params = [Polynomial.variable(pv, name) for name in pv.names] if later else []
+    # One field size for every block: no product of determinants exceeds
+    # the sum of their rows times their largest entry degree (1 after S_1).
+    rows, cols = blocks[0]
+    first = [_clear_denominators(*[sigma.entries[r][c].terms for c in cols])[0] for r in rows]
+    top = max([sum(e) for row in first for t in row for e in t])
+    s = _field_bits(len(rows) * top + sum(len(later) for later, _ in blocks[1:]))
+    nparams = len(pv)
     odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
         if not rows:
             continue
         if p == 1:
-            matrix = [[sigma.entries[r][c] for c in cols] for r in rows]
+            matrix = [[_pack(t, nparams, s) for t in row] for row in first]
         else:
             at = {r: u for u, r in enumerate(rows)}
-            matrix = [[Polynomial.zero(pv)] * len(cols) for _ in rows]
+            matrix = [[{}] * len(cols) for _ in rows]
             for v, c in enumerate(cols):
                 for r, sign, t in maps[p - 2][c]:
-                    if r in at:
-                        matrix[at[r]][v] = params[t] if sign > 0 else -params[t]
+                    if r in at:  # parameter t: total degree 1, exponent 1 at t
+                        matrix[at[r]][v] = {1 << nparams * s | 1 << (nparams - 1 - t) * s: sign}
         # The row scales are dropped: the normalization fixes the scale.
-        (odd if p % 2 else even).append(_det_int(matrix)[0])
+        (odd if p % 2 else even).append(_det_packed(matrix))
     res = reduce(_dict_mul, odd)
     if even:
         # Gauss's lemma: exact over Z iff over Q, the divisor being primitive.
-        res = _dict_try_div(res, _normalize_int_dict(reduce(_dict_mul, even)))
+        res = _dict_try_div(res, _normalize_int_dict(reduce(_dict_mul, even)), s)
         if res is None:
             raise PolyError("division is not exact")
-    poly = _from_terms(pv, _normalize_int_dict(res))
+    poly = _from_terms(pv, _unpack(_normalize_int_dict(res), nparams, s))
     used = len(odd) + len(even)
     return _output(spec, phi, sigma, poly, used, [tuple(blocks[0][1])], total_degree(spec))
 

@@ -1,7 +1,9 @@
+import heapq
 import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import add, sub
 
 import pytest
 
@@ -13,7 +15,13 @@ from detres.polyring import (
     _dict_add,
     _dict_mul,
     _dict_try_div,
+    _div_tuples,
+    _field_bits,
     _from_terms,
+    _mul_tuples,
+    _normalize_int_dict,
+    _pack,
+    _unpack,
     det_fraction_free,
     exact_div,
     glex_key,
@@ -86,6 +94,12 @@ class TestArithmetic:
     def test_cube_expansion(self):
         expected = X**3 + 3 * X**2 * Y + 3 * X * Y**2 + Y**3
         assert (X + Y) ** 3 == expected
+
+    def test_powers_of_zero_and_constants(self):
+        z = Polynomial.zero(XY)
+        assert (z**3).is_zero() and z**0 == 1
+        assert Polynomial.constant(XY, Fraction(-2, 3)) ** 3 == Fraction(-8, 27)
+        assert (Fraction(1, 2) * X * Y + 1) ** 2 == Fraction(1, 4) * X * X * Y * Y + X * Y + 1
 
     def test_ring_axioms_random(self):
         rng = random.Random(101)
@@ -302,6 +316,25 @@ class TestMinorExpansion:
             assert det == laplace_det(m)
             assert all(type(c) is Fraction for c in det.terms.values())
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_both_expansion_ends(self, n):
+        """The expansion starts from the end whose row is sparser: a sparse
+        first row, a sparse last row, a tie and a zero row at either end."""
+        rng = random.Random(980 + n)
+        z = Polynomial.zero(XYZ)
+        for _ in range(2):
+            for sparse_row in (0, n - 1, None):
+                m = sparse_matrix(rng, n, XYZ, density=1.0)
+                if sparse_row is not None:
+                    keep = rng.randrange(n)
+                    m[sparse_row] = [p if c == keep else z for c, p in enumerate(m[sparse_row])]
+                assert det_fraction_free(m) == laplace_det(m)
+                assert det_fraction_free(m[::-1]) == laplace_det(m[::-1])
+        for row in (0, n - 1):
+            m = sparse_matrix(rng, n, XYZ, density=1.0)
+            m[row] = [z] * n
+            assert det_fraction_free(m).is_zero()
+
     def test_distinct_row_denominators(self):
         rng = random.Random(990)
         m = sparse_matrix(rng, 5, XYZ, density=0.8)
@@ -417,8 +450,74 @@ def random_int_dict(rng, nv, nterms, max_deg=3):
     return out
 
 
+# -- oracles: the kernel on exponent tuples, as it was before packing -------
+
+
+def tuple_mul(a, b):
+    """Product of exponent-tuple term dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def tuple_try_div(p, d):
+    """Exact division of exponent-tuple term dicts by a heap of pending
+    products keyed by negated exponents, the negated degree in front."""
+    if not d:
+        raise PolyError("division by zero")
+    if not p:
+        return {}
+
+    def key(e):
+        return (-sum(e),) + tuple(-x for x in e)
+
+    (lead, dc), *rest = sorted((key(e), c) for e, c in d.items())
+    dividend = sorted((key(e), c) for e, c in p.items())
+    q_keys, q_coeffs, heap = [], [], []
+    k = 0
+    while k < len(dividend) or heap:
+        if k < len(dividend) and (not heap or dividend[k][0] <= heap[0][0]):
+            m, c = dividend[k]
+            k += 1
+        else:
+            m, c = heap[0][0], 0
+        while heap and heap[0][0] == m:
+            _, i, j = heapq.heappop(heap)
+            c -= q_coeffs[i] * rest[j][1]
+            if j + 1 < len(rest):
+                heapq.heappush(heap, (tuple(map(add, q_keys[i], rest[j + 1][0])), i, j + 1))
+        if not c:
+            continue
+        te = tuple(map(sub, m, lead))
+        tc, rem = divmod(c, dc)
+        if rem or max(te) > 0:
+            return None
+        q_keys.append(te)
+        q_coeffs.append(tc)
+        if rest:
+            heapq.heappush(heap, (tuple(map(add, te, rest[0][0])), len(q_keys) - 1, 0))
+    return {tuple(-x for x in t[1:]): c for t, c in zip(q_keys, q_coeffs)}
+
+
+def packed_div(p, d, nv, bound=None):
+    """``_dict_try_div`` on tuple dicts packed with fields for ``bound``
+    (default: the larger degree), the quotient unpacked."""
+    degree = max(map(sum, [*p, *d]), default=0)
+    s = _field_bits(degree if bound is None else bound)
+    q = _dict_try_div(_pack(p, nv, s), _pack(d, nv, s), s)
+    return None if q is None else _unpack(q, nv, s)
+
+
 class TestHeapDivision:
-    """``_dict_try_div`` against the quadratic rescanning loop."""
+    """``_dict_try_div`` on packed exponents against the quadratic
+    rescanning loop and the heap division on exponent tuples."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_quadratic_loop(self, seed):
@@ -433,7 +532,7 @@ class TestHeapDivision:
                 lead = max(d, key=glex_key)
                 d[lead] = -abs(d[lead])
             q = random_int_dict(rng, nv, rng.randint(1, 8))
-            p = _dict_mul(d, q)
+            p = tuple_mul(d, q)
             bumped = dict(p)
             if bumped:
                 e = rng.choice(sorted(bumped))
@@ -448,21 +547,129 @@ class TestHeapDivision:
             for dividend in dividends:
                 dividend = {e: c for e, c in dividend.items() if c}
                 want = quadratic_try_div(dividend, d) if dividend else {}
-                assert _dict_try_div(dividend, d) == want
+                assert tuple_try_div(dividend, d) == want
+                if dividend:
+                    assert _div_tuples(dividend, d) == want
+                assert packed_div(dividend, d, nv) == want
                 seen["exact" if want is not None else "none"] += 1
             seen["monomial"] += len(d) == 1
             seen["negative_lead"] += d[max(d, key=glex_key)] < 0
         assert all(seen.values()), seen
 
     def test_monomial_divisor_shifts_exponents(self):
-        assert _dict_try_div({(3, 1): 6, (2, 2): -4}, {(1, 1): -2}) == {(2, 0): -3, (1, 1): 2}
-        assert _dict_try_div({(3, 1): 6, (0, 2): 4}, {(1, 1): 2}) is None
-        assert _dict_try_div({(3, 1): 5}, {(1, 1): 2}) is None
+        for div in (_div_tuples, lambda p, d: packed_div(p, d, 2)):
+            assert div({(3, 1): 6, (2, 2): -4}, {(1, 1): -2}) == {(2, 0): -3, (1, 1): 2}
+            assert div({(3, 1): 6, (0, 2): 4}, {(1, 1): 2}) is None
+            assert div({(3, 1): 5}, {(1, 1): 2}) is None
 
     def test_zero_operands(self):
-        assert _dict_try_div({}, {(1,): 3}) == {}
+        s = _field_bits(1)
+        one_x = _pack({(1,): 3}, 1, s)
+        assert _dict_try_div({}, one_x, s) == {}
         with pytest.raises(PolyError):
-            _dict_try_div({(1,): 3}, {})
+            _dict_try_div(one_x, {}, s)
+        x = Polynomial.variable(VarSet(("x",)), "x")
+        assert try_exact_div(0 * x, 3 * x).is_zero()
+        with pytest.raises(PolyError):
+            try_exact_div(3 * x, 0 * x)
+
+
+class TestPackedKernel:
+    """The packed kernel against the exponent-tuple oracles."""
+
+    def test_layout(self):
+        # total degree on top, then x, y, z, one byte each below 128
+        assert _field_bits(0) == _field_bits(127) == 8
+        assert _field_bits(128) == 16 and _field_bits(40000) == 32
+        assert _pack({(1, 2, 3): 5}, 3, 8) == {0x06010203: 5}
+        assert _unpack({0x06010203: 5}, 3, 8) == {(1, 2, 3): 5}
+        assert _pack({(0, 0): 7}, 2, 8) == {0: 7}
+        for s in (8, 16, 32, 64):
+            e = (0, 2**(s - 2), 3, 0)
+            assert _unpack(_pack({e: 1}, 4, s), 4, s) == {e: 1}
+
+    @pytest.mark.parametrize("nv", [1, 2, 3, 5])
+    def test_sorted_packed_is_glex(self, nv):
+        rng = random.Random(30 + nv)
+        exps = list({tuple(rng.randint(0, 9) for _ in range(nv)) for _ in range(60)})
+        for s in (8, 16):
+            packed = _pack(dict.fromkeys(exps), nv, s)
+            assert list(_unpack(dict.fromkeys(sorted(packed)), nv, s)) == sorted(exps, key=glex_key)
+            assert _unpack({max(packed): 1}, nv, s) == {max(exps, key=glex_key): 1}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mul_and_pow_match_tuples(self, seed):
+        rng = random.Random(500 + seed)
+        for _ in range(40):
+            nv = rng.randint(1, 4)
+            a = random_int_dict(rng, nv, rng.randint(0, 6), max_deg=rng.choice([1, 3, 9]))
+            b = random_int_dict(rng, nv, rng.randint(0, 6), max_deg=rng.choice([1, 3, 9]))
+            want = tuple_mul(a, b)
+            assert _mul_tuples(a, b) == want
+            s = _field_bits(max(map(sum, [*a, *b]), default=0) * 2)
+            assert _unpack(_dict_mul(_pack(a, nv, s), _pack(b, nv, s)), nv, s) == want
+            k = rng.randint(1, 4)
+            want = a
+            for _ in range(k - 1):
+                want = tuple_mul(want, a)
+            vs = VarSet(f"v{i}" for i in range(nv))
+            assert (Polynomial(vs, a) ** k).terms == want
+
+    def test_exponent_at_field_maximum(self):
+        # 127 is the largest value of a one-byte field below its guard bit
+        a, b = {(64, 0): 2, (0, 64): 1}, {(63, 0): 3, (62, 1): -1}
+        assert _field_bits(127) == 8
+        s = 8
+        prod = _dict_mul(_pack(a, 2, s), _pack(b, 2, s))
+        assert _unpack(prod, 2, s) == tuple_mul(a, b)
+        assert {(127, 0): 6} == {e: c for e, c in _unpack(prod, 2, s).items() if e == (127, 0)}
+        p = tuple_mul(a, b)
+        assert packed_div(p, a, 2) == b
+        assert packed_div(p, b, 2) == a
+        assert packed_div({(127, 0): 4}, {(127, 0): 2}, 2) == {(0, 0): 2}
+        assert packed_div({(127, 0): 4}, {(0, 127): 2}, 2) is None
+        assert packed_div({(0, 127): 4}, {(1, 0): 2}, 2) is None
+
+    def test_no_borrow_across_fields(self):
+        # x*y^3 / x^2: the x field would borrow from the y field above it
+        assert tuple_try_div({(1, 3): 1}, {(2, 0): 1}) is None
+        assert packed_div({(1, 3): 1}, {(2, 0): 1}, 2) is None
+        assert packed_div({(1, 3): 1, (0, 4): 1}, {(2, 0): 1, (0, 2): 1}, 2) is None
+        # y^3 / x: the degree field is large enough, the x field is not
+        assert packed_div({(0, 3): 1}, {(1, 0): 1}, 2) is None
+        assert packed_div({(0, 3, 1): 1}, {(0, 0, 2): 1}, 3) is None
+        assert packed_div({(2, 3): 5}, {(2, 0): 5}, 2) == {(0, 3): 1}
+
+    def test_single_term_and_constant_operands(self):
+        assert packed_div({(0, 0): 6}, {(0, 0): 3}, 2) == {(0, 0): 2}
+        assert packed_div({(0, 0): 6}, {(0, 0): 4}, 2) is None
+        assert packed_div({(0, 0): 6}, {(1, 0): 3}, 2) is None
+        assert packed_div({(1, 0): 6, (0, 1): -3}, {(0, 0): 3}, 2) == {(1, 0): 2, (0, 1): -1}
+        assert packed_div({(2, 1): 6, (1, 2): 3}, {(1, 1): -3}, 2) == {(1, 0): -2, (0, 1): -1}
+        assert _mul_tuples({}, {(1, 0): 2}) == {} == _mul_tuples({(1, 0): 2}, {})
+        assert _mul_tuples({(0, 0): 3}, {(1, 2): 2}) == {(1, 2): 6}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_division_of_products(self, seed):
+        """(a * b) / b is a; (a * b + r) / b agrees with the tuple oracle."""
+        rng = random.Random(700 + seed)
+        for _ in range(40):
+            nv = rng.randint(1, 4)
+            a = random_int_dict(rng, nv, rng.randint(1, 6), max_deg=rng.choice([2, 5]))
+            b = random_int_dict(rng, nv, rng.randint(1, 4), max_deg=rng.choice([2, 5]))
+            if not a or not b:
+                continue
+            p = tuple_mul(a, b)
+            assert packed_div(p, b, nv) == a
+            for bound in (None, 2 * max(map(sum, [*p, *b]))):
+                r = _dict_add(p, random_int_dict(rng, nv, 2))
+                assert packed_div(r, b, nv, bound) == tuple_try_div(r, b)
+
+    def test_normalize_takes_glex_leader(self):
+        terms = {(0, 3): -4, (1, 1): 6, (0, 0): 2}
+        s = _field_bits(3)
+        got = _unpack(_normalize_int_dict(_pack(terms, 2, s)), 2, s)
+        assert got == _normalize_int_dict(terms, glex_key) == {(0, 3): 2, (1, 1): -3, (0, 0): -1}
 
 
 class TestGcd:
@@ -557,6 +764,12 @@ class TestTrustedConstructor:
         got = _from_terms(XY, terms)
         assert got == Polynomial(XY, terms)
         assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_fraction_terms_kept_as_they_are(self):
+        terms = {(2, 0): Fraction(3, 4), (0, 1): Fraction(-5)}
+        got = _from_terms(XY, terms, None)
+        assert got.terms is terms
+        assert got == Polynomial(XY, terms) and hash(got) == hash(Polynomial(XY, terms))
 
 
 class TestSerialization:

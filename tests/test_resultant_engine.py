@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
@@ -35,7 +36,7 @@ from detres.resultant_engine import (
     staircase_specialization,
     vanish_test,
 )
-from detres.scroll_chow import ScrollSpec, chow_generic_morphism, chow_problem
+from detres.scroll_chow import ScrollSpec, chow_form, chow_generic_morphism, chow_problem
 
 
 def sylvester_spec(d1, d2):
@@ -656,6 +657,21 @@ class TestConcreteSigma:
         result = sigma_rank(spec, rational_morphism(spec, random.Random(3)))
         assert calls == [result.rows]
 
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_monomials_listed_once_per_degree(self, monkeypatch, generic):
+        spec = self.SPECS[0]
+        phi = generic_morphism(spec) if generic else rational_morphism(spec, random.Random(3))
+        degrees = []
+
+        def counted(nvars, d):
+            degrees.append(d)
+            return monomials_of_degree(nvars, d)
+
+        monkeypatch.setattr(resultant_engine, "monomials_of_degree", counted)
+        sigma = build_sigma(spec, critical_degree(spec), phi)
+        assert sigma.shape == (20, 36)  # 9 column groups, each of degree 1
+        assert sorted(degrees) == [1, 3]
+
 
 def test_no_cyclic_garbage():
     """The determinant's memo of minors is freed by reference counting: no
@@ -880,6 +896,47 @@ class TestComplexRoute:
         )
         resultant_gcd(spec)
         assert calls == [(spec, critical_degree(spec), 8, None)]
+
+
+def count_det_calls(monkeypatch) -> list[int]:
+    """Wrap ``det_fraction_free`` in every detres namespace that binds it,
+    as the benchmark's tracer does; return the list of the sizes of the
+    matrices it is then called with."""
+    original = polyring.det_fraction_free
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name == "detres" or name.startswith("detres."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestDeterminantLayer:
+    """The traced ``chow`` and ``resultant`` benchmark runs in CI fail
+    unless ``polyring.det.calls`` > 0, and that counts the wrapped
+    ``det_fraction_free``: the sigma minors Delta_{J,I} of the generic
+    morphism must keep going through it, whatever computes the blocks."""
+
+    def test_chow_form(self, monkeypatch):
+        calls = count_det_calls(monkeypatch)
+        refuse_gcd(monkeypatch)
+        assert chow_form(ScrollSpec((2, 1))).confirmed
+        assert calls
+
+    @pytest.mark.parametrize(
+        "spec", [sylvester_spec(2, 3), ProblemSpec(3, 1, 0, (1, 1, 1), (0,))], ids=spec_id
+    )
+    def test_complex_route_resultant(self, monkeypatch, spec):
+        calls = count_det_calls(monkeypatch)
+        refuse_gcd(monkeypatch)
+        assert resultant_gcd(spec, critical_degree(spec) + 1).confirmed
+        assert calls
 
 
 class TestOnePassDegrees:
