@@ -16,11 +16,11 @@ int add.  With P variables, the top field of a packed exponent holds the
 total degree and the P fields below it the exponents of variables 0 (most
 significant) to P-1.  A field is w value bits under a guard bit that stays
 0; ``_field_bits`` takes w from a bound on every degree a computation
-reaches, rounded up to whole bytes, so no field carries into the next.  Int
-order is then graded-lex order, the leading term is ``max(p)``, and ``lead``
-divides ``m`` exactly when ``((m | G) - lead) & G == G`` for the guard bits
-G: a field that would borrow clears its own guard bit instead.  Callers on
-exponent tuples pack at the boundary and unpack once.
+reaches, rounded up to whole bytes, and ``_unpack`` raises on a set guard
+bit.  Int order is graded-lex order, the leading term is ``max(p)``, and
+``lead`` divides ``m`` exactly when ``((m | G) - lead) & G == G`` for the
+guard bits G: a field that would borrow clears its own guard bit instead.
+Callers on exponent tuples pack at the boundary and unpack once.
 
 Monomial order is graded lexicographic (higher total degree first, ties
 broken by the exponent tuple with the leftmost variable most significant).
@@ -428,15 +428,13 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
 def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
     """The determinant of the square matrix ``m`` of packed integer dicts.
 
-    The rows are taken one at a time from the end whose row has fewer
-    nonzero entries.  ``level`` maps each column set to the nonzero minor
-    on it and the rows taken; one more row gives the sum over columns c of
-    +-entry(c) times the minor on the other columns (Laplace's expansion
-    along that row).  Only two levels of nonzero minors are kept."""
-    top = sum(map(bool, m[0])) < sum(map(bool, m[-1]))
-    rows = m if top else m[::-1]
-    level = {1 << c: entry for c, entry in enumerate(rows[0]) if entry}
-    for t, row in enumerate(rows[1:], start=1):
+    The rows are taken one at a time from the last.  ``level`` maps each
+    column set to the nonzero minor on it and the rows taken; one more row
+    gives the sum over columns c of +-entry(c) times the minor on the other
+    columns (Laplace's expansion along that row).  Only two levels of
+    nonzero minors are kept."""
+    level = {1 << c: entry for c, entry in enumerate(m[-1]) if entry}
+    for row in m[-2::-1]:
         entries = [(1 << c, entry) for c, entry in enumerate(row) if entry]
         grown: dict[int, IntDict] = {}
         for cols, sub in level.items():
@@ -445,7 +443,7 @@ def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
                     acc = grown.get(cols | bit)
                     if acc is None:
                         acc = grown[cols | bit] = {}
-                    odd = ((cols & (bit - 1)).bit_count() + top * t) & 1
+                    odd = (cols & (bit - 1)).bit_count() & 1
                     _dict_addmul(acc, entry, sub, -1 if odd else 1)
         level = {cols: out for cols, acc in grown.items() if (out := {e: c for e, c in acc.items() if c})}
     return level.get((1 << len(m)) - 1, {})
@@ -557,9 +555,7 @@ def _dict_try_div(p: IntDict, d: IntDict, s: int) -> IntDict | None:
     # no module it did not load before.
     from heapq import heappop, heappush
 
-    # Every guard bit of the fields up to the top one of p and d.
-    top = max(max(p), max(d)).bit_length() // s + 1
-    guards = ((1 << top * s) - 1) // ((1 << s) - 1) << (s - 1)
+    guards = _guards(max(max(p), max(d)).bit_length() // s + 1, s)
     (lead, dc), *rest = sorted(d.items(), reverse=True)
     dividend = sorted(p.items(), reverse=True)
     q_exps: list[int] = []
@@ -594,6 +590,11 @@ def _field_bits(bound: int) -> int:
     return 8 << (bound.bit_length() // 8).bit_length()
 
 
+def _guards(fields: int, s: int) -> int:
+    """The guard bits of the lowest ``fields`` fields of ``s`` bits."""
+    return ((1 << fields * s) - 1) // ((1 << s) - 1) << (s - 1)
+
+
 @cache
 def _layout(nvars: int, s: int) -> Struct:
     """The fields of a packed exponent, whole bytes: degree, then variables."""
@@ -607,9 +608,12 @@ def _pack(terms: Mapping[Exponent, object], nvars: int, s: int) -> IntDict:
 
 
 def _unpack(terms: IntDict, nvars: int, s: int) -> dict:
-    """Packed terms with exponent tuples again."""
+    """Packed terms with exponent tuples again; a set guard bit means a
+    degree bound was too small, and raises."""
     layout = _layout(nvars, s)
     unpack, size = layout.unpack, layout.size
+    if any(key & _guards(nvars + 1, s) for key in terms):
+        raise PolyError("packed exponent field overflow")
     return {unpack(key.to_bytes(size, "big"))[1:]: c for key, c in terms.items()}
 
 
@@ -759,31 +763,27 @@ def _content_pp(P: IntDict, v: int) -> tuple[IntDict, IntDict]:
     return cont, pp
 
 
-def _lc_in(p: IntDict, v: int) -> IntDict:
-    d = _deg_in(p, v)
-    return {
-        e[:v] + (0,) + e[v + 1 :]: c for e, c in p.items() if e[v] == d
-    }
-
-
 def _prem(A: IntDict, B: IntDict, v: int) -> IntDict:
-    """Pseudo-remainder prem(A, B) with respect to variable ``v``."""
-    dB = _deg_in(B, v)
-    lB = _lc_in(B, v)
-    R = dict(A)
+    """Pseudo-remainder prem(A, B) with respect to variable ``v``.
+
+    It runs packed: no step adds more than deg B to the degree, and there
+    are at most e steps.  ``m >> sv & mask`` is the degree of v in m, and
+    ``k * unit`` takes k off it and off the total degree."""
+    nv, dB = len(next(iter(A))), _deg_in(B, v)
     e = _deg_in(A, v) - dB + 1
+    s = _field_bits(max(map(sum, A)) + e * max(map(sum, B)))
+    sv, mask = (nv - 1 - v) * s, (1 << s) - 1
+    unit = (1 << sv) + (1 << nv * s)
+    R, B = _pack(A, nv, s), _pack(B, nv, s)
+    lB = {m - dB * unit: c for m, c in B.items() if m >> sv & mask == dB}
     steps = 0
-    while R and _deg_in(R, v) >= dB:
-        dR = _deg_in(R, v)
-        lR = {
-            ex[:v] + (dR - dB,) + ex[v + 1 :]: c
-            for ex, c in _lc_in(R, v).items()
-        }
-        R = _dict_add(_mul_tuples(lB, R), _dict_scale(_mul_tuples(lR, B), -1))
+    while R and (dR := max(m >> sv & mask for m in R)) >= dB:
+        lR = {m - dB * unit: c for m, c in R.items() if m >> sv & mask == dR}
+        R = _dict_add(_dict_mul(lB, R), _dict_scale(_dict_mul(lR, B), -1))
         steps += 1
     if steps < e and R:
-        R = reduce(_mul_tuples, [lB] * (e - steps), R)
-    return R
+        R = _dict_mul(R, reduce(_dict_mul, [lB] * (e - steps)))
+    return _unpack(R, nv, s)
 
 
 def _prs_gcd(A: IntDict, B: IntDict, v: int) -> IntDict:
@@ -819,7 +819,7 @@ def _prs_gcd(A: IntDict, B: IntDict, v: int) -> IntDict:
         if Rn is None:  # pragma: no cover - subresultant theory guarantees it
             raise PolyError("internal error: inexact PRS division")
         A, B = B, Rn
-        g = _lc_in(A, v)
+        g = {e[:v] + (0,) + e[v + 1 :]: c for e, c in A.items() if e[v] == dB}  # lc of A
         if delta > 0:
             hn = _div_tuples(reduce(_mul_tuples, [g] * delta), reduce(_mul_tuples, [h] * (delta - 1), one))
             if hn is None:  # pragma: no cover

@@ -21,6 +21,7 @@ from detres.polyring import (
     _mul_tuples,
     _normalize_int_dict,
     _pack,
+    _prem,
     _unpack,
     det_fraction_free,
     exact_div,
@@ -318,8 +319,9 @@ class TestMinorExpansion:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_both_expansion_ends(self, n):
-        """The expansion starts from the end whose row is sparser: a sparse
-        first row, a sparse last row, a tie and a zero row at either end."""
+        """The expansion starts from the last row: a sparse first row, a
+        sparse last row, neither, a zero row at either end, and each matrix
+        with its rows reversed."""
         rng = random.Random(980 + n)
         z = Polynomial.zero(XYZ)
         for _ in range(2):
@@ -506,6 +508,29 @@ def tuple_try_div(p, d):
     return {tuple(-x for x in t[1:]): c for t, c in zip(q_keys, q_coeffs)}
 
 
+def tuple_prem(A, B, v):
+    """Pseudo-remainder of exponent-tuple term dicts in variable ``v``, and
+    the number of factors lc(B) multiplied in after the last step."""
+
+    def deg(p):
+        return max((e[v] for e in p), default=-1)
+
+    def lc(p, shift):
+        d = deg(p)
+        return {e[:v] + (shift,) + e[v + 1 :]: c for e, c in p.items() if e[v] == d}
+
+    dB, lB, R = deg(B), lc(B, 0), dict(A)
+    e, steps = deg(A) - dB + 1, 0
+    while R and deg(R) >= dB:
+        lR = lc(R, deg(R) - dB)
+        R = _dict_add(tuple_mul(lB, R), {x: -c for x, c in tuple_mul(lR, B).items()})
+        steps += 1
+    tail = e - steps if R else 0
+    for _ in range(tail):
+        R = tuple_mul(R, lB)
+    return R, tail
+
+
 def packed_div(p, d, nv, bound=None):
     """``_dict_try_div`` on tuple dicts packed with fields for ``bound``
     (default: the larger degree), the quotient unpacked."""
@@ -664,6 +689,32 @@ class TestPackedKernel:
             for bound in (None, 2 * max(map(sum, [*p, *b]))):
                 r = _dict_add(p, random_int_dict(rng, nv, 2))
                 assert packed_div(r, b, nv, bound) == tuple_try_div(r, b)
+
+    def test_field_overflow_raises(self):
+        # x^100 * x^100 sets the guard bits of the x and degree fields
+        s = 8
+        square = _dict_mul(_pack({(100, 0): 1}, 2, s), _pack({(100, 0): 1}, 2, s))
+        with pytest.raises(PolyError, match="overflow"):
+            _unpack(square, 2, s)
+        with pytest.raises(PolyError, match="overflow"):
+            _unpack(_pack({(0, 128): 1}, 2, s), 2, s)
+        assert _unpack(_pack({(0, 127): 1}, 2, s), 2, s) == {(0, 127): 1}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prem_matches_tuples(self, seed):
+        rng = random.Random(800 + seed)
+        tails = 0
+        for _ in range(40):
+            nv = rng.randint(1, 3)
+            v = rng.randrange(nv)
+            A = random_int_dict(rng, nv, rng.randint(1, 6), max_deg=rng.choice([2, 4]))
+            B = random_int_dict(rng, nv, rng.randint(1, 4), max_deg=rng.choice([1, 2]))
+            if not A or not B or max(e[v] for e in B) > max(e[v] for e in A):
+                continue
+            want, tail = tuple_prem(A, B, v)
+            assert _prem(A, B, v) == want
+            tails += tail > 0
+        assert tails
 
     def test_normalize_takes_glex_leader(self):
         terms = {(0, 3): -4, (1, 1): 6, (0, 0): 2}
