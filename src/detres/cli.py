@@ -2,17 +2,17 @@
 
 Exit codes: 0 success (or nonvanishing for the test subcommands), 10
 vanishing, 2 invalid input, 3 existence-check failure, 4 unconfirmed
-resultant.  JSON outputs carry a top-level ``"schema": "detres/1"`` field
-and are byte-deterministic for fixed inputs.
+resultant (its degree is not the predicted one: a fault), 5 a Lascoux spec
+(0 < r < n - 1) given to ``resultant``.  JSON outputs carry a top-level
+``"schema": "detres/1"`` field and are byte-deterministic for fixed inputs.
 
 ``resultant`` and ``chow`` compute the resultant polynomial with
-``resultant_gcd``.  Specs with r = 0, and principal specs with m = n + 1
-(every Chow form), take the complex route: the determinant of the complex
-by Cayley's formula, with ``minors_used`` the number of square
-determinants taken.  The other specs take the minors route, a gcd of at
-most ``resultant --budget`` maximal minors; only there can the budget run
-out before the degree is reached (exit 4).  ``chow`` has no budget, since
-every Chow form takes the complex route.
+``resultant_gcd``: the determinant of the complex whose first differential
+is sigma_d, by Cayley's formula, with ``minors_used`` the number of square
+determinants taken.  Specs with r = 0 (Koszul) and principal specs with
+r = n - 1 (Eagon-Northcott, every Chow form among them) have that complex;
+for the other specs ``resultant`` exits 5 at once, and ``matrix``, ``test``
+and ``complex`` still serve them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ SCHEMA = "detres/1"
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_EXISTENCE = 3
-EXIT_BUDGET = 4
+EXIT_UNCONFIRMED = 4
+EXIT_LASCOUX = 5
 EXIT_VANISHES = 10
 
 
@@ -196,16 +197,20 @@ def _resultant_payload(out) -> dict:
 
 
 def _cmd_resultant(args) -> int:
-    from .resultant_engine import resultant_gcd
+    from .resultant_engine import LascouxCaseError, resultant_gcd
     spec = _load_spec(args.spec)
-    out = resultant_gcd(spec, d=args.degree, minor_budget=args.budget)
+    try:
+        out = resultant_gcd(spec, d=args.degree)
+    except LascouxCaseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LASCOUX
     if args.json:
         _emit_json({"schema": SCHEMA, **_resultant_payload(out)})
     else:
         print(f"degree per column block: {list(out.block_degrees)}")
         print(f"confirmed: {out.confirmed} (minors used: {out.minors_used})")
         print(out.polynomial)
-    return EXIT_OK if out.confirmed else EXIT_BUDGET
+    return EXIT_OK if out.confirmed else EXIT_UNCONFIRMED
 
 
 def _cmd_test(args) -> int:
@@ -246,7 +251,7 @@ def _cmd_chow(args) -> int:
             print(f"chow form degrees per block: {list(out.block_degrees)}")
             print(f"confirmed: {out.confirmed}")
             print(out.polynomial)
-    return EXIT_BUDGET if out is not None and not out.confirmed else EXIT_OK
+    return EXIT_UNCONFIRMED if out is not None and not out.confirmed else EXIT_OK
 
 
 def _cmd_chow_test(args) -> int:
@@ -328,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resultant", help="resultant polynomial of the generic morphism")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=8, help="maximal minors tried on the minors route")
     add_json(p)
     p.set_defaults(func=_cmd_resultant)
 

@@ -9,16 +9,16 @@ degree-``d`` forms.  For ``d`` at least the critical degree, and a concrete
 rational morphism, the resultant vanishes exactly when ``sigma_d`` drops
 rank.
 
-``resultant_gcd`` computes the resultant of the generic morphism on one of
-two routes.  For r = 0 (sigma_d is the Macaulay map of the m*n entries,
-resolved by their Koszul complex) and for r = n - 1 with m = n + 1 (the
-Eagon-Northcott complex) it is the determinant of the degree-d strand of
-that complex, a quotient of square determinants by Cayley's formula
-(Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).  That route packs
-the blocks once and runs their determinants, products, exact division and
-normalization on packed integer term dicts; only the normalized resultant
-becomes a ``Polynomial`` again.  For every other spec it is the
-gcd of maximal minors of ``sigma_d``, with a minor budget.
+``resultant_gcd`` computes the resultant of the generic morphism as the
+determinant of the degree-d strand of a complex whose first differential is
+sigma_d: the Koszul complex of the m*n entries for r = 0 (sigma_d is their
+Macaulay map), the Eagon-Northcott complex for r = n - 1.  That determinant
+is a quotient of square determinants by Cayley's formula (Gelfand, Kapranov
+& Zelevinsky, 1994, Appendix A).  The route packs the blocks once and runs
+their determinants, products, exact division and normalization on packed
+integer term dicts; only the normalized resultant becomes a ``Polynomial``
+again.  For 0 < r < n - 1 the complex is Lascoux's, which is not built
+here: ``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
 
 The rank test stays on integers: each row of a concrete morphism is cleared
 of denominators and packed once, every Delta_{J,I} is an integer minor, and
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import lcm, prod
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -61,15 +61,10 @@ from .polyring import (
     _unpack,
     det_fraction_free,
     monomials_of_degree,
-    multivariate_gcd,
-    normalize_gcd_style,
 )
 
-#: Seed for the integer evaluation points that pick minors and blocks.
+#: Seed for the integer evaluation points that pick the blocks.
 _POINT_SEED = 0x5EED
-
-#: Column shuffles tried per requested minor after the two scan orders.
-_SHUFFLES_PER_MINOR = 4
 
 
 def geometric_names(spec: ProblemSpec) -> tuple[str, ...]:
@@ -469,17 +464,18 @@ def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# The resultant: the determinant of a complex, or a gcd of maximal minors
+# The resultant: the determinant of a complex
 # ---------------------------------------------------------------------------
 
 
 class ResultantOutput(NamedTuple):
     """The resultant polynomial and how it was computed.
 
-    ``minors_used`` counts the determinants taken: the square blocks of the
-    strand's differentials on the complex route, the maximal minors of
-    sigma on the minors route.  ``minor_columns`` holds the column sets of
-    sigma whose minors were taken; on the complex route that is ``(S_1,)``.
+    ``confirmed`` says whether the degree of the polynomial equals the
+    predicted total degree; a result that is not confirmed is a fault.
+    ``minors_used`` counts the determinants taken, the square blocks of the
+    strand's differentials, and ``minor_columns`` is ``(S_1,)``, the columns
+    of sigma_d in block 1.
     """
 
     polynomial: Polynomial
@@ -491,29 +487,26 @@ class ResultantOutput(NamedTuple):
     sigma: SigmaMatrix  # the matrix whose minors were taken
 
 
+class LascouxCaseError(PolyError):
+    """A spec with 0 < r < n - 1: its resultant is the determinant of
+    Lascoux's complex, which is not built here."""
+
+
 def resultant_gcd(
     spec: ProblemSpec,
     d: int | None = None,
-    minor_budget: int = 8,
     naming: Callable[[int, int, Exponent], str] | None = None,
 ) -> ResultantOutput:
     """The determinantal resultant of the generic morphism, from sigma_d.
 
-    Specs with r = 0, and principal specs (r = n - 1) with m = n + 1, take
-    the complex route: the resultant is the determinant of the degree-d
-    strand of the complex whose first differential is sigma_d, by Cayley's
-    formula (see ``_resultant_by_complex``); ``minor_budget`` is not used.
-    The other specs take the minors route, a gcd of at most
-    ``minor_budget`` maximal minors of sigma_d (see
-    ``_resultant_by_minors``).  On both routes ``confirmed`` says whether
-    the degree of the result equals the predicted total degree.
+    The resultant is the determinant of the degree-d strand of the complex
+    whose first differential is sigma_d (see ``complex_strand``), by
+    Cayley's formula (see ``_resultant_by_complex``).  A spec with
+    0 < r < n - 1 raises ``LascouxCaseError`` before any matrix is built.
     """
     d = _resultant_degree(spec, d)
-    if minor_budget < 1:
-        raise PolyError("minor budget must be positive")
-    if _has_complex(spec):
-        return _resultant_by_complex(spec, d, naming)
-    return _resultant_by_minors(spec, d, minor_budget, naming)
+    _require_complex(spec)
+    return _resultant_by_complex(spec, d, naming)
 
 
 def _resultant_degree(spec: ProblemSpec, d: int | None) -> int:
@@ -525,41 +518,6 @@ def _resultant_degree(spec: ProblemSpec, d: int | None) -> int:
     if d < nu:
         raise PolyError(f"degree {d} is below the critical degree {nu}")
     return d
-
-
-def _generic_sigma(
-    spec: ProblemSpec, d: int, naming: Callable[[int, int, Exponent], str] | None
-) -> tuple[GenericMorphism, SigmaMatrix]:
-    phi = generic_morphism(spec, naming)
-    sigma = build_sigma(spec, d, phi)
-    rows, cols = sigma.shape
-    if cols < rows:
-        raise PolyError(
-            f"sigma_{d} has {cols} columns for {rows} rows; degree too small"
-        )
-    return phi, sigma
-
-
-def _output(
-    spec: ProblemSpec,
-    phi: GenericMorphism,
-    sigma: SigmaMatrix,
-    poly: Polynomial,
-    used: int,
-    chosen: list[tuple[int, ...]],
-    target: int,
-) -> ResultantOutput:
-    """The output for ``poly``, confirmed when its degree is ``target``."""
-    blocks, total = _degrees(poly, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
-    return ResultantOutput(
-        polynomial=poly,
-        block_degrees=tuple(int(b) for b in blocks),
-        confirmed=total == target,
-        minors_used=used,
-        minor_columns=tuple(chosen),
-        normalization="integer content 1, positive graded-lex leading coefficient",
-        sigma=sigma,
-    )
 
 
 def _degrees(poly: Polynomial, sizes: Sequence[int]) -> tuple[list, int | float]:
@@ -580,17 +538,21 @@ def _degrees(poly: Polynomial, sizes: Sequence[int]) -> tuple[list, int | float]
 # -- the complex route (Cayley's formula) ------------------------------------
 
 
-def _has_complex(spec: ProblemSpec) -> bool:
-    """Whether ``complex_strand`` builds the complex of ``spec``."""
-    return spec.r == 0 or (spec.r == spec.n - 1 and spec.m == spec.n + 1)
+def _require_complex(spec: ProblemSpec) -> None:
+    """Raise ``LascouxCaseError`` unless ``complex_strand`` builds the complex
+    of ``spec``, that is unless r = 0 or r = n - 1."""
+    if spec.r not in (0, spec.n - 1):
+        raise LascouxCaseError(
+            f"m={spec.m}, n={spec.n}, r={spec.r} is a Lascoux case (0 < r < n-1):"
+            " its complex is not built, so it has no resultant route"
+        )
 
 
 def complex_strand(
     spec: ProblemSpec, d: int, phi: GenericMorphism
 ) -> tuple[tuple[int, ...], list[list[list[tuple[int, int, int]]]]]:
     """The degree-d strand 0 -> K_P -> ... -> K_1 -> K_0 -> 0 of the complex
-    whose first differential D_1 is sigma_d, for r = 0 or for r = n - 1
-    with m = n + 1.
+    whose first differential D_1 is sigma_d, for r = 0 or r = n - 1.
 
     Returns the dimensions of K_0, ..., K_P and the differentials D_2, ...,
     D_P.  K_0 is the space of degree-d forms and K_1 has the columns of
@@ -604,14 +566,18 @@ def complex_strand(
     the entries, lexicographic; deg mu = d - sum of deg f_a over A), and
     ``D_p(e_A mu) = sum_t (-1)^t f_{A_t} mu e_{A - A_t}``.
 
-    r = n - 1, m = n + 1: the Eagon-Northcott complex 0 -> K_2 -> K_1 ->
-    K_0.  K_2 has the basis e_j * nu (deg nu = d - sum d + sum k + k_j),
-    and ``D_2(e_j nu) = sum_i (-1)^(i-1) phi_{j,i} nu e_{[m] - i}``;
-    sigma_d D_2 = 0 is the Laplace expansion of a matrix with row j
-    repeated.
+    r = n - 1: the Eagon-Northcott complex, with K_1 = wedge^n E and
+    K_p = D_{p-1}(F*) (x) wedge^{n+p-1} E for p = 2, ..., m - n + 1 (E has
+    the m columns, F the n rows, D the divided powers).  K_p has the basis
+    e_alpha * e_S * nu (alpha a multiset of size p - 1 in [n], S an
+    (n+p-1)-subset of [m], both lexicographic; deg nu = d - sum of d_i over
+    S + sum k + sum of k_j over alpha), and ``D_p(e_alpha e_S nu) =
+    sum_{j in supp alpha} sum_t (-1)^t phi_{j,S_t} nu e_{alpha-j} e_{S-S_t}``.
+    sigma_d D_2 = 0 is the Laplace expansion of a matrix with a row
+    repeated; in D_{p-1} D_p the two orders of removing a pair of columns
+    cancel, as in the Koszul complex.
     """
-    if not _has_complex(spec):
-        raise PolyError("the complex is built only for r = 0 or r = n-1, m = n+1")
+    _require_complex(spec)
     # Each K_p (p >= 1) as groups (key, degree of mu, faces): the basis
     # elements e_key * mu, and D_p(e_key mu) = sum of sign * f * mu e_target
     # over the faces (target key, sign, entry f).
@@ -630,24 +596,24 @@ def complex_strand(
             for p in range(1, len(gens) + 1)
         )
     else:
-        m, ks = spec.m, sum(spec.k)
-        terms = [
-            [
-                (I, d - sum(spec.d[i - 1] for i in I) + ks, [])
-                for I in combinations(range(1, m + 1), spec.n)
-            ],
+        n, ks = spec.n, sum(spec.k)
+        terms = (
             [
                 (
-                    j,
-                    d - sum(spec.d) + ks + spec.k[j - 1],
+                    (alpha, S),
+                    d - sum(spec.d[i - 1] for i in S) + ks + sum(spec.k[j - 1] for j in alpha),
                     [
-                        (tuple(x for x in range(1, m + 1) if x != i), (-1) ** (i - 1), (j, i))
-                        for i in range(1, m + 1)
+                        ((alpha[:u] + alpha[u + 1 :], S[:t] + S[t + 1 :]), (-1) ** t, (j, i))
+                        for u, j in enumerate(alpha)
+                        if j not in alpha[:u]  # each j in supp alpha once
+                        for t, i in enumerate(S)
                     ],
                 )
-                for j in range(1, spec.n + 1)
-            ],
-        ]
+                for alpha in combinations_with_replacement(range(1, n + 1), p - 1)
+                for S in combinations(range(1, spec.m + 1), n + p - 1)
+            ]
+            for p in range(1, spec.m - n + 2)
+        )
     param = {name: t for t, name in enumerate(phi.param_names)}
     entries: dict[tuple[int, int], list] = {}  # (j, i) -> [(exponent, parameter)]
     for (j, i, exps), name in phi.coeff_names.items():
@@ -758,7 +724,8 @@ def _resultant_by_complex(
     critical degree it is the resultant.  A square sigma_d with no further
     term gives det(sigma_d) without a point.
     """
-    phi, sigma = _generic_sigma(spec, d, naming)
+    phi = generic_morphism(spec, naming)
+    sigma = build_sigma(spec, d, phi)
     dims, maps = complex_strand(spec, d, phi)
     if dims[0] == dims[1] and not maps:
         blocks = [(list(range(dims[0])), list(range(dims[1])))]
@@ -800,94 +767,16 @@ def _resultant_by_complex(
         if res is None:
             raise PolyError("division is not exact")
     poly = _from_terms(pv, _unpack(_normalize_int_dict(res), nparams, s))
-    used = len(odd) + len(even)
-    return _output(spec, phi, sigma, poly, used, [tuple(blocks[0][1])], total_degree(spec))
-
-
-# -- the minors route (gcd of maximal minors) --------------------------------
-
-
-def _candidate_column_sets(
-    numeric: Sequence[Sequence[Fraction | int]], budget: int
-) -> Iterator[list[int]]:
-    """Lazily yield distinct column sets with nonzero numeric minors.
-
-    Each set is the greedy pivot set of the evaluated matrix with its
-    columns scanned in some order: left to right, then right to left, then
-    in shuffles seeded with ``_POINT_SEED``.  At most ``budget`` sets are
-    yielded, and ``_SHUFFLES_PER_MINOR * budget`` shuffles are tried; none
-    is yielded if the matrix is short of full row rank.
-    """
-    rows, cols = len(numeric), len(numeric[0])
-    rng = random.Random(_POINT_SEED)
-
-    def orders() -> Iterator[list[int]]:
-        order = list(range(cols))
-        yield order
-        yield order[::-1]
-        for _ in range(_SHUFFLES_PER_MINOR * budget):
-            rng.shuffle(order)
-            yield order
-
-    seen: set[tuple[int, ...]] = set()
-    for order in orders():
-        pivots = row_echelon([[row[c] for c in order] for row in numeric])[0]
-        if len(pivots) < rows:
-            return
-        cand = sorted(order[p] for p in pivots)
-        if tuple(cand) not in seen:
-            seen.add(tuple(cand))
-            yield cand
-            if len(seen) >= budget:
-                return
-
-
-def _resultant_by_minors(
-    spec: ProblemSpec,
-    d: int,
-    minor_budget: int = 8,
-    naming: Callable[[int, int, Exponent], str] | None = None,
-) -> ResultantOutput:
-    """The resultant as a gcd of maximal minors of sigma_d.
-
-    Minors are enumerated in a documented deterministic order (greedy
-    pivot sets of the matrix evaluated at a fixed integer point, its
-    columns scanned left to right, right to left, then in seeded shuffles;
-    see ``_candidate_column_sets``); the running gcd stops as soon as its
-    degree in the parameters reaches the predicted total degree, since the
-    resultant divides every maximal minor.  If the budget runs out first, the
-    running gcd is returned unconfirmed.
-    """
-    phi, sigma = _generic_sigma(spec, d, naming)
-    rows = len(sigma.entries)
-    for point in _points(phi):
-        plans = _candidate_column_sets(_sigma_at(sigma, point), minor_budget)
-        first = next(plans, None)
-        if first is not None:
-            break
-    else:
-        raise PolyError("could not find a nonsingular maximal minor")
-
-    target = total_degree(spec)
-    current: Polynomial | None = None
-    used = 0
-    chosen: list[tuple[int, ...]] = []
-    for cand in chain([first], plans):
-        sub = [[sigma.entries[r][c] for c in cand] for r in range(rows)]
-        minor = det_fraction_free(sub)
-        if minor.is_zero():
-            continue
-        used += 1
-        chosen.append(tuple(cand))
-        if current is None:
-            current = normalize_gcd_style(minor)
-        else:
-            current = multivariate_gcd(current, minor)
-        if current.degree <= target or used >= minor_budget:
-            break
-
-    assert current is not None
-    return _output(spec, phi, sigma, current, used, chosen, target)
+    degrees, total = _degrees(poly, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
+    return ResultantOutput(
+        polynomial=poly,
+        block_degrees=tuple(int(b) for b in degrees),
+        confirmed=total == total_degree(spec),
+        minors_used=len(odd) + len(even),
+        minor_columns=(tuple(blocks[0][1]),),
+        normalization="integer content 1, positive graded-lex leading coefficient",
+        sigma=sigma,
+    )
 
 
 # ---------------------------------------------------------------------------

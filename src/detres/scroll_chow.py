@@ -159,8 +159,8 @@ def chow_form(spec: ScrollSpec) -> ResultantOutput:
     """Chow form of the scroll in Stiefel coordinates.
 
     Degree ``sum(d_i)`` in each column block of the plane matrix.  The
-    problem has m = n + 1, so it takes the complex route of
-    ``resultant_gcd``, where no minor budget applies.
+    problem is principal (r = n - 1, m = n + 1), so ``resultant_gcd`` takes
+    it as the determinant of its Eagon-Northcott strand.
     """
     return resultant_gcd(chow_problem(spec), naming=letter_naming())
 

@@ -1,0 +1,119 @@
+"""The resultant as a gcd of maximal minors of sigma_d: a test oracle.
+
+The resultant divides every maximal minor of sigma_d, so the gcd of enough
+of them is the resultant.  This route is independent of the complexes
+``resultant_gcd`` builds, but it finishes only on small specs: with a square
+sigma_d it is one determinant, otherwise it needs a multivariate gcd of
+large minors.  The tests compare ``resultant_gcd`` with it where it does.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import chain
+from typing import Iterator, Sequence
+
+from detres.chern_degree import ProblemSpec, total_degree
+from detres.polyring import (
+    PolyError,
+    Polynomial,
+    det_fraction_free,
+    multivariate_gcd,
+    normalize_gcd_style,
+)
+from detres.resultant_engine import (
+    _POINT_SEED,
+    ResultantOutput,
+    _degrees,
+    _points,
+    _resultant_degree,
+    _sigma_at,
+    build_sigma,
+    generic_morphism,
+    row_echelon,
+)
+
+#: Column shuffles tried per requested minor after the two scan orders.
+SHUFFLES_PER_MINOR = 4
+
+
+def candidate_column_sets(numeric: Sequence[Sequence], budget: int) -> Iterator[list[int]]:
+    """Lazily yield distinct column sets with nonzero numeric minors.
+
+    Each set is the greedy pivot set of the evaluated matrix with its
+    columns scanned in some order: left to right, then right to left, then
+    in shuffles seeded with ``_POINT_SEED``.  At most ``budget`` sets are
+    yielded, and ``SHUFFLES_PER_MINOR * budget`` shuffles are tried; none
+    is yielded if the matrix is short of full row rank.
+    """
+    rows, cols = len(numeric), len(numeric[0])
+    rng = random.Random(_POINT_SEED)
+
+    def orders() -> Iterator[list[int]]:
+        order = list(range(cols))
+        yield order
+        yield order[::-1]
+        for _ in range(SHUFFLES_PER_MINOR * budget):
+            rng.shuffle(order)
+            yield order
+
+    seen: set[tuple[int, ...]] = set()
+    for order in orders():
+        pivots = row_echelon([[row[c] for c in order] for row in numeric])[0]
+        if len(pivots) < rows:
+            return
+        cand = sorted(order[p] for p in pivots)
+        if tuple(cand) not in seen:
+            seen.add(tuple(cand))
+            yield cand
+            if len(seen) >= budget:
+                return
+
+
+def resultant_by_minors(
+    spec: ProblemSpec, d: int | None = None, budget: int = 8, naming=None
+) -> ResultantOutput:
+    """The resultant as a gcd of at most ``budget`` maximal minors of sigma_d.
+
+    The minors are the column sets of ``candidate_column_sets`` at the
+    first integer point of ``_points`` where sigma_d has full row rank.  The
+    running gcd stops as soon as its degree reaches the predicted total
+    degree; if the budget runs out first, it is returned unconfirmed.  The
+    output has the fields of ``resultant_gcd``'s, with ``minors_used`` the
+    number of minors taken and ``minor_columns`` their column sets.
+    """
+    d = _resultant_degree(spec, d)
+    phi = generic_morphism(spec, naming)
+    sigma = build_sigma(spec, d, phi)
+    rows = len(sigma.entries)
+    for point in _points(phi):
+        plans = candidate_column_sets(_sigma_at(sigma, point), budget)
+        first = next(plans, None)
+        if first is not None:
+            break
+    else:
+        raise PolyError("could not find a nonsingular maximal minor")
+
+    target = total_degree(spec)
+    current: Polynomial | None = None
+    chosen: list[tuple[int, ...]] = []
+    for cand in chain([first], plans):
+        minor = det_fraction_free([[sigma.entries[r][c] for c in cand] for r in range(rows)])
+        if minor.is_zero():
+            continue
+        chosen.append(tuple(cand))
+        current = normalize_gcd_style(minor) if current is None else multivariate_gcd(current, minor)
+        if current.degree <= target or len(chosen) >= budget:
+            break
+
+    assert current is not None
+    degrees, total = _degrees(current, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
+    return ResultantOutput(
+        polynomial=current,
+        block_degrees=tuple(int(b) for b in degrees),
+        confirmed=total == target,
+        minors_used=len(chosen),
+        minor_columns=tuple(chosen),
+        normalization="integer content 1, positive graded-lex leading coefficient",
+        sigma=sigma,
+    )

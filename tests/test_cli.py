@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -150,13 +151,37 @@ class TestResultant:
         assert poly.degree == 2
 
     def test_macaulay_above_critical_degree_confirmed(self, spec_file, capsys):
-        # three linear forms on P^2 at nu + 2 = 3: exits 0, not 4 (budget)
+        # three linear forms on P^2 at nu + 2 = 3: exits 0, not 4 (unconfirmed)
         path = spec_file("m.json", {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]})
         assert main(["resultant", "--spec", path, "--degree", "3", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["confirmed"] is True
         assert data["block_degrees"] == [1, 1, 1]
         assert Polynomial.from_json(data["polynomial"]).degree == 3
+
+    def test_lascoux_spec_exits_five(self, spec_file, capsys, monkeypatch):
+        # (3,3,1) d=(1,1,1): 0 < r < n - 1, and a 20x36 sigma_d at nu
+        from detres import resultant_engine
+
+        def refuse(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(resultant_engine, "generic_morphism", refuse)
+        monkeypatch.setattr(resultant_engine, "build_sigma", refuse)
+        path = spec_file("l.json", {"m": 3, "n": 3, "r": 1, "d": [1, 1, 1], "k": [0, 0, 0]})
+        start = time.perf_counter()
+        assert main(["resultant", "--spec", path, "--json"]) == 5
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and "Lascoux case" in captured.err
+
+    def test_budget_flag_removed(self, spec_file, capsys):
+        path = spec_file("s.json", SYL11)
+        with pytest.raises(SystemExit) as exc:
+            main(["resultant", "--spec", path, "--budget", "8"])
+        assert exc.value.code == 2
 
 
 class TestVanishTest:

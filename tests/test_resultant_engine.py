@@ -18,9 +18,9 @@ from detres.polyring import (
 )
 from detres.resultant_engine import (
     ConcreteMorphism,
-    _candidate_column_sets,
+    LascouxCaseError,
+    _compatible_blocks,
     _degrees,
-    _resultant_by_minors,
     build_sigma,
     complex_strand,
     concrete_morphism,
@@ -37,6 +37,7 @@ from detres.resultant_engine import (
     vanish_test,
 )
 from detres.scroll_chow import ScrollSpec, chow_form, chow_generic_morphism, chow_problem
+from minors_oracle import candidate_column_sets, resultant_by_minors
 
 
 def sylvester_spec(d1, d2):
@@ -716,7 +717,7 @@ class TestMacaulayMinorSelection:
     """Macaulay (3,1,0) specs whose first two minors share an extra factor
     when the candidates are single-column swaps of one pivot set.  The
     resultant must confirm, vanish on forms with a common zero and not on
-    generic forms; the candidate tests cover the minors route's selection."""
+    generic forms; the candidate tests cover the minors oracle's selection."""
 
     @pytest.mark.parametrize(
         "d, extra",
@@ -753,7 +754,7 @@ class TestMacaulayMinorSelection:
         point = {p: rng.randint(1, 99) for p in sigma.param_varset.names}
         numeric = [[e.evaluate(point) for e in row] for row in sigma.entries]
         rows = len(numeric)
-        sets = list(_candidate_column_sets(numeric, 8))
+        sets = list(candidate_column_sets(numeric, 8))
         assert sets[0] == row_echelon(numeric)[0]
         assert len(sets) == 8
         assert len({tuple(s) for s in sets}) == 8
@@ -763,9 +764,9 @@ class TestMacaulayMinorSelection:
 
     def test_candidates_of_square_and_singular_matrices(self):
         square = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert list(_candidate_column_sets(square, 8)) == [[0, 1]]
+        assert list(candidate_column_sets(square, 8)) == [[0, 1]]
         singular = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
-        assert list(_candidate_column_sets(singular, 8)) == []
+        assert list(candidate_column_sets(singular, 8)) == []
 
 
 def chow_spec(*degrees):
@@ -777,22 +778,28 @@ def spec_id(spec):
     return f"{spec.m}{spec.n}{spec.r}-d{''.join(map(str, spec.d))}-k{''.join(map(str, spec.k))}"
 
 
-#: Specs with small strands: Koszul (r = 0) and Eagon-Northcott (m = n + 1).
+#: Specs with small strands: Koszul (r = 0) and Eagon-Northcott (r = n - 1,
+#: with m = n + 1 and with m >= n + 2).
 STRAND_SPECS = [
     sylvester_spec(1, 2),
     ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
     ProblemSpec(2, 2, 0, (1, 1), (0, 0)),
     ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0)),
     chow_spec(2, 1),
+    ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0)),
+    ProblemSpec(4, 2, 1, (2, 1, 1, 1), (0, 0)),
+    ProblemSpec(5, 2, 1, (1,) * 5, (0, 0)),
 ]
+
+#: The smallest Lascoux spec (0 < r < n - 1): a 20x36 sigma_d at nu.
+LASCOUX = ProblemSpec(3, 3, 1, (1, 1, 1), (0, 0, 0))
 
 
 def refuse_gcd(monkeypatch):
     def refuse(*args):
-        raise AssertionError("multivariate_gcd reached on the complex route")
+        raise AssertionError("multivariate_gcd reached")
 
     monkeypatch.setattr(polyring, "multivariate_gcd", refuse)
-    monkeypatch.setattr(resultant_engine, "multivariate_gcd", refuse)
 
 
 class TestComplexStrand:
@@ -832,13 +839,13 @@ class TestComplexStrand:
                 assert not any(acc.values())
 
     def test_other_specs_rejected(self):
-        spec = ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0))
-        with pytest.raises(PolyError):
-            complex_strand(spec, critical_degree(spec), generic_morphism(spec))
+        with pytest.raises(LascouxCaseError):
+            complex_strand(LASCOUX, critical_degree(LASCOUX), generic_morphism(LASCOUX))
 
 
 #: (spec, degree above nu, letter names): the acceptance goldens, the six
-#: ``resultant`` benchmark inputs and the Chow forms of small scrolls.
+#: ``resultant`` benchmark inputs, the Chow forms of small scrolls and a
+#: principal spec with m = n + 2 (a square 6x6 sigma_d, 60,600 terms).
 COMPLEX_CASES = [
     (sylvester_spec(1, 1), 0, False),
     (sylvester_spec(1, 2), 0, False),
@@ -854,6 +861,15 @@ COMPLEX_CASES = [
     (chow_spec(1, 1), 0, True),
     (chow_spec(2, 1), 0, True),
     (chow_spec(1, 2), 0, True),
+    (ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0)), 0, False),
+]
+
+
+#: The COMPLEX_CASES whose strand has a differential after sigma_d.
+LATER_BLOCK_CASES = [
+    (spec, extra, letters)
+    for spec, extra, letters in COMPLEX_CASES
+    if complex_strand(spec, critical_degree(spec) + extra, generic_morphism(spec))[1]
 ]
 
 
@@ -872,7 +888,7 @@ class TestComplexRoute:
         with monkeypatch.context() as patch:
             refuse_gcd(patch)
             out = resultant_gcd(spec, d, naming=naming())
-        oracle = _resultant_by_minors(spec, d, naming=naming())
+        oracle = resultant_by_minors(spec, d, naming=naming())
         assert out.confirmed and oracle.confirmed
         assert out.polynomial.terms == oracle.polynomial.terms
         assert out.block_degrees == oracle.block_degrees
@@ -888,14 +904,134 @@ class TestComplexRoute:
         assert out.confirmed
         assert (out.minors_used, out.minor_columns) == (1, ((0, 1, 2),))
 
-    def test_other_specs_take_the_minors_route(self, monkeypatch):
-        spec = ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0))
-        calls = []
-        monkeypatch.setattr(
-            resultant_engine, "_resultant_by_minors", lambda *args: calls.append(args)
-        )
-        resultant_gcd(spec)
-        assert calls == [(spec, critical_degree(spec), 8, None)]
+    def test_lascoux_spec_raises_before_sigma(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(resultant_engine, "generic_morphism", refuse)
+        monkeypatch.setattr(resultant_engine, "build_sigma", refuse)
+        with pytest.raises(LascouxCaseError, match="Lascoux case"):
+            resultant_gcd(LASCOUX)
+
+    @pytest.mark.parametrize(
+        "spec, extra, letters",
+        LATER_BLOCK_CASES,
+        ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra, _ in LATER_BLOCK_CASES],
+    )
+    def test_field_bound_covers_the_odd_product(self, monkeypatch, spec, extra, letters):
+        """The degree bound that sizes the packed fields is at least the total
+        degree of the product of the odd-p block determinants, the largest
+        polynomial the route builds."""
+        bounds, chosen, dets = [], [], []
+        field_bits = resultant_engine._field_bits
+        compatible = resultant_engine._compatible_blocks
+        det_packed = resultant_engine._det_packed
+
+        def spy_bits(bound):
+            bounds.append(bound)
+            return field_bits(bound)
+
+        def spy_blocks(*args):
+            chosen.append(compatible(*args))
+            return chosen[-1]
+
+        def spy_det(matrix):
+            dets.append(det_packed(matrix))
+            return dets[-1]
+
+        monkeypatch.setattr(resultant_engine, "_field_bits", spy_bits)
+        monkeypatch.setattr(resultant_engine, "_compatible_blocks", spy_blocks)
+        monkeypatch.setattr(resultant_engine, "_det_packed", spy_det)
+        naming = letter_naming() if letters else None
+        out = resultant_gcd(spec, critical_degree(spec) + extra, naming=naming)
+        (bound,) = bounds
+        blocks = chosen[-1]
+        assert len(blocks) > 1
+        ps = [p for p, (rows, _) in enumerate(blocks, start=1) if rows]
+        assert len(ps) == len(dets) == out.minors_used
+        nparams, s = len(out.sigma.param_varset), field_bits(bound)
+        degrees = [max(map(sum, polyring._unpack(det, nparams, s))) for det in dets]
+        assert bound >= sum(deg for p, deg in zip(ps, degrees) if p % 2)
+
+
+def integer_values(gen, rng):
+    """Seeded integer values of the generic morphism's parameters, nonzero
+    and from a wide range: the entries of a later block are +-one parameter,
+    and small values often make such a block singular."""
+    return {name: rng.choice((-1, 1)) * rng.randint(1, 999) for name in gen.param_names}
+
+
+def morphism_at(gen, values):
+    """The concrete morphism whose coefficients are ``values``, by name."""
+    spec = gen.spec
+    varset = VarSet(gen.geo_names)
+    terms = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
+    for (j, i, exps), name in gen.coeff_names.items():
+        terms[j - 1][i - 1][exps] = Fraction(values[name])
+    return ConcreteMorphism(
+        spec, varset, tuple(tuple(Polynomial(varset, t) for t in row) for row in terms)
+    )
+
+
+class TestNumericCayley:
+    """Cayley's quotient of the numeric blocks of the (4,2,1) d=(1,1,1,1)
+    strands at nu+1 and nu+2, whose symbolic determinants are out of reach,
+    against det(sigma_nu), a 6x6 square, at the same morphisms.  The blocks
+    are chosen once by ``_compatible_blocks``; the quotient is then a
+    constant times the resultant at every morphism where the even blocks
+    are nonsingular, and so is det(sigma_nu).  This checks the p >= 2
+    differentials of the general Eagon-Northcott strand."""
+
+    SPEC = ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0))
+
+    @staticmethod
+    def quotient(spec, d, blocks, maps, gen, values):
+        sigma = build_sigma(spec, d, morphism_at(gen, values)).entries
+        point = [values[name] for name in gen.param_names]
+        q = Fraction(1)
+        for p, (rows, cols) in enumerate(blocks, start=1):
+            if p == 1:
+                matrix = [[sigma[r][c] for c in cols] for r in rows]
+            else:
+                at = {r: u for u, r in enumerate(rows)}
+                matrix = [[0] * len(cols) for _ in rows]
+                for v, c in enumerate(cols):
+                    for r, sign, t in maps[p - 2][c]:
+                        if r in at:
+                            matrix[at[r]][v] = sign * point[t]
+            det = rational_det(matrix)
+            if p % 2:
+                q *= det
+            else:
+                assert det != 0, f"block {p} is singular at this morphism"
+                q /= det
+        return q
+
+    @pytest.mark.parametrize("extra, dims", [(1, (10, 18, 8)), (2, (15, 36, 24, 3))])
+    def test_against_det_sigma_nu(self, extra, dims):
+        spec = self.SPEC
+        nu = critical_degree(spec)
+        gen = generic_morphism(spec)
+        got, maps = complex_strand(spec, nu + extra, gen)
+        assert got == dims
+        sigma = build_sigma(spec, nu + extra, gen)
+        rng = random.Random(0xCA7 + extra)
+        blocks = _compatible_blocks(sigma, dims, maps, list(integer_values(gen, rng).values()))
+        assert blocks is not None and len(blocks) == len(dims) - 1
+        ratios = set()
+        for _ in range(3):
+            values = integer_values(gen, rng)
+            square = rational_det(build_sigma(spec, nu, morphism_at(gen, values)).entries)
+            assert square != 0
+            ratios.add(self.quotient(spec, nu + extra, blocks, maps, gen, values) / square)
+        (ratio,) = ratios
+        assert ratio != 0
+        # phi(1:0:0) of rank 1: row 2 there is twice row 1, so Res(phi) = 0
+        values = integer_values(gen, rng)
+        for i in range(1, spec.m + 1):
+            values[gen.coeff_names[(2, i, (1, 0, 0))]] = 2 * values[gen.coeff_names[(1, i, (1, 0, 0))]]
+        assert sigma_rank(spec, morphism_at(gen, values), nu + extra).vanishes
+        assert self.quotient(spec, nu + extra, blocks, maps, gen, values) == 0
 
 
 def count_det_calls(monkeypatch) -> list[int]:

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from detres import polyring, resultant_engine
+from detres import polyring
 from detres.chern_degree import ExistenceError
 from detres.polyring import Polynomial, VarSet
 from detres.resultant_engine import (
-    _resultant_by_minors,
     critical_degree,
     letter_naming,
     parameter_assignment,
@@ -26,6 +25,7 @@ from detres.scroll_chow import (
     scroll_equations,
     scroll_matrix,
 )
+from minors_oracle import resultant_by_minors
 
 
 def substitute(poly, mapping):
@@ -382,11 +382,10 @@ def larger_chow(request):
     spec = ScrollSpec(request.param)
 
     def refuse(*args):
-        raise AssertionError("multivariate_gcd reached on the complex route")
+        raise AssertionError("multivariate_gcd reached")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polyring, "multivariate_gcd", refuse)
-        patch.setattr(resultant_engine, "multivariate_gcd", refuse)
         return spec, chow_form(spec)
 
 
@@ -397,7 +396,7 @@ class TestLargerChowForms:
     def test_matches_minors_route(self, larger_chow):
         spec, out = larger_chow
         problem = chow_problem(spec)
-        oracle = _resultant_by_minors(problem, critical_degree(problem), naming=letter_naming())
+        oracle = resultant_by_minors(problem, critical_degree(problem), naming=letter_naming())
         assert oracle.confirmed
         assert out.polynomial.terms == oracle.polynomial.terms
         assert out.block_degrees == oracle.block_degrees
