@@ -78,9 +78,11 @@ def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
     require_existence(spec)
     data = _load_json(path)
     try:
+        if type(data) is not list or any(type(row) is not list for row in data):
+            raise PolyError("a morphism is a list of rows, each a list of entries")
         rows = [[Polynomial.from_json(cell) for cell in row] for row in data]
         return concrete_morphism(spec, rows)
-    except (KeyError, TypeError, ValueError, PolyError) as exc:
+    except PolyError as exc:
         raise InputError(f"bad morphism in {path}: {exc}") from exc
 
 
@@ -230,13 +232,9 @@ def _cmd_chow(args) -> int:
     from .resultant_engine import build_sigma
     from .scroll_chow import chow_form, chow_generic_morphism, chow_problem
     scroll = _parse_scroll(args.scroll)
-    out = None
-    if args.matrix_only:
-        problem = chow_problem(scroll)
-        sigma = build_sigma(problem, critical_degree(problem), chow_generic_morphism(scroll))
-    else:
-        out = chow_form(scroll)
-        sigma = out.sigma
+    problem = chow_problem(scroll)
+    sigma = build_sigma(problem, critical_degree(problem), chow_generic_morphism(scroll))
+    out = None if args.matrix_only else chow_form(scroll)
     payload: dict = {"schema": SCHEMA, "matrix": _sigma_json(sigma)}
     if out is not None:
         payload["chow_form"] = _resultant_payload(out)

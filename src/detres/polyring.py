@@ -333,11 +333,19 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Polynomial":
-        """Inverse of ``to_json``: exponents must be integers, each ``c`` a
-        string or an integer, and no exponent may appear twice."""
-        varset = VarSet(tuple(data["vars"]))
+        """Inverse of ``to_json``: an object with a list ``vars`` of strings
+        and a list ``terms`` of objects, each with an exponent ``e`` (a list
+        of integers) and a coefficient ``c`` (a string or an integer); no
+        exponent may appear twice."""
+        if type(data) is not dict or type(data.get("terms")) is not list:
+            raise PolyError("a polynomial is an object with a list 'terms'")
+        if type(data.get("vars")) is not list or any(type(v) is not str for v in data["vars"]):
+            raise PolyError(f"vars {data.get('vars')!r} is not a list of strings")
+        varset = VarSet(data["vars"])
         terms: dict[Exponent, Fraction] = {}
         for t in data["terms"]:
+            if type(t) is not dict or "e" not in t or "c" not in t:
+                raise PolyError(f"term {t!r} is not an object with 'e' and 'c'")
             e, c = t["e"], t["c"]
             if type(e) not in (list, tuple) or any(type(x) is not int for x in e):
                 raise PolyError(f"exponent {e!r} is not a list of integers")
@@ -404,20 +412,23 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix by memoized minor expansion.
 
-    Each row is scaled by the lcm of its denominators.  The integer
-    determinant is then built from its minors one row at a time, every
-    minor computed once per column set (Gentleman & Johnson, ACM TOMS 2(3),
-    1976; see ``_det_packed``): only ring operations, no division, and zero
-    entries and zero minors are skipped.  The result is divided by the
-    product of the row lcms once at the end; it is identical to cofactor
-    expansion.  The expansion runs on packed exponents, with fields for
-    degrees up to n times the largest entry degree.
+    A 1x1 matrix gives its entry.  Else each row is scaled by the lcm of its
+    denominators, and the integer determinant is built from its minors one
+    row at a time, every minor computed once per column set (Gentleman &
+    Johnson, ACM TOMS 2(3), 1976; see ``_det_packed``): only ring
+    operations, no division, and zero entries and zero minors are skipped.
+    The result is divided by the product of the row lcms once at the end;
+    it is identical to cofactor expansion.  The expansion runs on packed
+    exponents, with fields for degrees up to n times the largest entry
+    degree.
     """
     n = len(matrix)
     if n == 0:
         raise PolyError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
+    if n == 1:
+        return matrix[0][0]
     rows = [_clear_denominators(*[entry.terms for entry in row]) for row in matrix]
     nv = len(matrix[0][0].varset)
     s = _field_bits(n * max([sum(e) for int_row, _ in rows for t in int_row for e in t], default=0))
@@ -610,9 +621,9 @@ def _pack(terms: Mapping[Exponent, object], nvars: int, s: int) -> IntDict:
 def _unpack(terms: IntDict, nvars: int, s: int) -> dict:
     """Packed terms with exponent tuples again; a set guard bit means a
     degree bound was too small, and raises."""
-    layout = _layout(nvars, s)
+    layout, guards = _layout(nvars, s), _guards(nvars + 1, s)
     unpack, size = layout.unpack, layout.size
-    if any(key & _guards(nvars + 1, s) for key in terms):
+    if any(key & guards for key in terms):
         raise PolyError("packed exponent field overflow")
     return {unpack(key.to_bytes(size, "big"))[1:]: c for key, c in terms.items()}
 

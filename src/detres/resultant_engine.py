@@ -14,11 +14,11 @@ determinant of the degree-d strand of a complex whose first differential is
 sigma_d: the Koszul complex of the m*n entries for r = 0 (sigma_d is their
 Macaulay map), the Eagon-Northcott complex for r = n - 1.  That determinant
 is a quotient of square determinants by Cayley's formula (Gelfand, Kapranov
-& Zelevinsky, 1994, Appendix A).  The route packs the blocks once and runs
-their determinants, products, exact division and normalization on packed
-integer term dicts; only the normalized resultant becomes a ``Polynomial``
-again.  For 0 < r < n - 1 the complex is Lascoux's, which is not built
-here: ``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
+& Zelevinsky, 1994, Appendix A).  From the integer columns of sigma_d to the
+normalized resultant and its degrees, the route runs on integer term dicts,
+packed from block 1 on; only the resultant becomes a ``Polynomial`` again.
+For 0 < r < n - 1 the complex is Lascoux's, which is not built here:
+``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
 
 The rank test stays on integers: each row of a concrete morphism is cleared
 of denominators and packed once, every Delta_{J,I} is an integer minor, and
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -312,7 +312,7 @@ def build_sigma(
     pv = VarSet(phi.param_names) if isinstance(phi, GenericMorphism) else None
     if pv is not None:
         zero = Polynomial.zero(pv)
-        cells = [[zero if v is None else _from_terms(pv, v, None) for v in col] for col in columns]
+        cells = [[zero if v is None else _from_terms(pv, v) for v in col] for col in columns]
     else:
         cells = [[Fraction(v, scale) for v in col] for col, scale in columns]
     entries = tuple(zip(*cells)) or ((),) * len(row_basis)
@@ -324,9 +324,10 @@ def _sigma_columns(
 ) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int]:
     """The layout of sigma_d: row basis, column keys, columns and the count
     of omitted column groups.  A generic column lists per row None or the
-    entry's term dict over the parameters, with the Fraction coefficients
-    of ``det_fraction_free``.  A concrete column is a pair (integer cells,
-    scale): phi's rows are cleared of denominators and packed once, each
+    entry's term dict over the parameters, with the integer coefficients of
+    ``det_fraction_free``'s Delta_{J,I}; the columns of one Delta_{J,I}
+    share these dicts.  A concrete column is a pair (integer cells, scale):
+    phi's rows are cleared of denominators and packed once, each
     Delta_{J,I} is an integer minor of the packed rows, and the column is
     the true one times ``scale``, the product of the row scales over J.
     """
@@ -337,17 +338,18 @@ def _sigma_columns(
         raise PolyError("degree must be >= 0")
     nv = spec.N + 1
     symbolic = isinstance(phi, GenericMorphism)
-    monomials = keys = cache(lambda deg: monomials_of_degree(nv, deg))
+    monomials = cache(lambda deg: monomials_of_degree(nv, deg))
     row_basis = tuple(monomials(d))
-    row_index = {e: r for r, e in enumerate(row_basis)}
+    # Delta_{J,I} * mu has degree d in x0..xN, a concrete minor at most r+1
+    # entry degrees.
+    s = _field_bits(d)
     if not symbolic:
         cleared = [_clear_denominators(*[p.terms for p in row]) for row in phi.entries]
-        # Delta_{J,I} * mu has degree d, a minor at most r+1 entry degrees.
         top = max([sum(e) for row, _ in cleared for t in row for e in t], default=0)
         s = _field_bits(max(d, (spec.r + 1) * top))
         packed = [[_pack(t, nv, s) for t in row] for row, _ in cleared]
-        row_index = _pack(row_index, nv, s)
-        keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
+    row_index = _pack({e: r for r, e in enumerate(row_basis)}, nv, s)
+    keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
     col_basis: list[ColKey] = []
     columns: list = []
     omitted = 0
@@ -357,23 +359,18 @@ def _sigma_columns(
             if mu_deg < 0:
                 omitted += 1
                 continue
-            if symbolic:
-                delta = det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms
+            if symbolic:  # the cells of Delta_{J,I}, by monomial in x0..xN
+                delta: dict = {}
+                for e, c in det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms.items():
+                    delta.setdefault(e[:nv], {})[e[nv:]] = c.numerator
+                delta = _pack(delta, nv, s)
             else:
                 delta = _det_packed([[packed[j - 1][i - 1] for i in I] for j in J])
                 scale = prod(cleared[j - 1][1] for j in J)
             for mu, key in zip(monomials(mu_deg), keys(mu_deg)):
-                # e -> (rho, e[nv:]) is one-to-one: no cell is written twice
-                # (map stops at the end of mu, so rho = e[:nv] + mu).
                 col: list = [None if symbolic else 0] * len(row_basis)
                 for e, c in delta.items():
-                    if symbolic:
-                        r = row_index[tuple(map(add, e, mu))]
-                        if col[r] is None:
-                            col[r] = {}
-                        col[r][e[nv:]] = c
-                    else:
-                        col[row_index[e + key]] = c
+                    col[row_index[e + key]] = c
                 col_basis.append((J, I, mu))
                 columns.append(col if symbolic else (col, scale))
     return row_basis, tuple(col_basis), columns, omitted
@@ -484,7 +481,6 @@ class ResultantOutput(NamedTuple):
     minors_used: int
     minor_columns: tuple[tuple[int, ...], ...]
     normalization: str
-    sigma: SigmaMatrix  # the matrix whose minors were taken
 
 
 class LascouxCaseError(PolyError):
@@ -520,19 +516,18 @@ def _resultant_degree(spec: ProblemSpec, d: int | None) -> int:
     return d
 
 
-def _degrees(poly: Polynomial, sizes: Sequence[int]) -> tuple[list, int | float]:
-    """Degrees of ``poly`` in consecutive blocks of variables of the given
-    sizes, and its total degree, in one pass over the terms: maxima over the
-    terms, as in ``degree_in`` and ``degree`` (``NEG_INFINITY`` for zero)."""
-    cuts = list(accumulate(sizes, initial=0))
-    spans = [*zip(cuts, cuts[1:]), (0, len(poly.varset))]
-    top: list = [NEG_INFINITY] * len(spans)
-    for e in poly.terms:
-        for t, (a, b) in enumerate(spans):
-            s = sum(e[a:b])
-            if s > top[t]:
-                top[t] = s
-    return top[:-1], top[-1]
+def _block_degrees(p: dict, sizes: Sequence[int], s: int) -> tuple[list, int | float]:
+    """Degrees of the packed ``p`` (``s``-bit fields) in consecutive blocks of
+    its variables of the given sizes, none empty, and its total degree (the
+    top field of the largest key), as ``degree_in`` and ``degree`` give them.
+    A run of L fields times ``ones`` (1 in each field) sums them in field
+    L - 1; no field carries, as no partial sum exceeds the total degree."""
+    mask, shift, degrees = (1 << s) - 1, sum(sizes) * s, []
+    for size in sizes:
+        shift, run = shift - size * s, (1 << size * s) - 1
+        ones, top = run // mask, (size - 1) * s
+        degrees.append(max([((key >> shift & run) * ones >> top) & mask for key in p], default=NEG_INFINITY))
+    return degrees, max(p) >> sum(sizes) * s if p else NEG_INFINITY
 
 
 # -- the complex route (Cayley's formula) ------------------------------------
@@ -656,38 +651,39 @@ def _points(phi: GenericMorphism) -> Iterator[list[int]]:
         yield [rng.randint(1, 4099) for _ in phi.param_names]
 
 
-def _sigma_at(sigma: SigmaMatrix, point: Sequence[int]) -> list[list[int]]:
-    """The symbolic sigma_d (its entries have integer coefficients) at an
-    integer parameter point, in int arithmetic."""
+def _columns_at(columns: Sequence[list], point: Sequence[int]) -> list[tuple[int, ...]]:
+    """The rows of the generic sigma_d (``_sigma_columns``'s columns) at an
+    integer parameter point, each distinct parameter monomial evaluated once."""
+    values: dict[Exponent, int] = {}
     out = []
-    for row in sigma.entries:
-        values = []
-        for p in row:
+    for col in columns:
+        cells = []
+        for cell in col:
             total = 0
-            for e, c in p.terms.items():
-                v = c.numerator
-                for x, k in zip(point, e):
-                    if k:
-                        v *= x**k
-                total += v
-            values.append(total)
-        out.append(values)
-    return out
+            if cell is not None:
+                for e, c in cell.items():
+                    v = values.get(e)
+                    if v is None:
+                        v = values[e] = prod([x**k for x, k in zip(point, e) if k])
+                    total += c * v
+            cells.append(total)
+        out.append(cells)
+    return list(zip(*out))
 
 
 def _compatible_blocks(
-    sigma: SigmaMatrix, dims: Sequence[int], maps: Sequence, point: Sequence[int]
+    columns: Sequence[list], dims: Sequence[int], maps: Sequence, point: Sequence[int]
 ) -> list[tuple[list[int], list[int]]] | None:
     """Rows and columns of the square blocks of D_1, D_2, ... at ``point``.
 
-    Block 1 is sigma_d on all rows and its greedy pivot columns S_1; block
-    p takes the rows of D_p outside S_{p-1} and the greedy pivot columns
-    S_p of D_p on them.  None when some block falls short of full row rank
-    at ``point`` or S_P misses part of the top term: then the strand is not
-    exact there.
+    Block 1 is sigma_d (``_sigma_columns``'s generic ``columns``) on all rows
+    and its greedy pivot columns S_1; block p takes the rows of D_p outside
+    S_{p-1} and the greedy pivot columns S_p of D_p on them.  None when some
+    block falls short of full row rank at ``point`` or S_P misses part of
+    the top term: then the strand is not exact there.
     """
     rows = list(range(dims[0]))
-    cols = row_echelon(_sigma_at(sigma, point))[0]
+    cols = row_echelon(_columns_at(columns, point))[0]
     if len(cols) < len(rows):
         return None
     blocks = [(rows, cols)]
@@ -725,32 +721,28 @@ def _resultant_by_complex(
     term gives det(sigma_d) without a point.
     """
     phi = generic_morphism(spec, naming)
-    sigma = build_sigma(spec, d, phi)
+    columns = _sigma_columns(spec, d, phi)[2]
     dims, maps = complex_strand(spec, d, phi)
     if dims[0] == dims[1] and not maps:
         blocks = [(list(range(dims[0])), list(range(dims[1])))]
     else:
         for point in _points(phi):
-            blocks = _compatible_blocks(sigma, dims, maps, point)
+            blocks = _compatible_blocks(columns, dims, maps, point)
             if blocks is not None:
                 break
         else:
             raise PolyError("could not find compatible nonsingular blocks")
-    pv = sigma.param_varset
-    assert pv is not None
     # One field size for every block: no product of determinants exceeds
-    # the sum of their rows times their largest entry degree (1 after S_1).
-    rows, cols = blocks[0]
-    first = [_clear_denominators(*[sigma.entries[r][c].terms for c in cols])[0] for r in rows]
-    top = max([sum(e) for row in first for t in row for e in t])
-    s = _field_bits(len(rows) * top + sum(len(later) for later, _ in blocks[1:]))
-    nparams = len(pv)
+    # the sum of their rows times their entry degree, r+1 in block 1 (each
+    # Delta_{J,I} is a form of degree r+1 in the parameters) and 1 after it.
+    s = _field_bits(dims[0] * (spec.r + 1) + sum(len(later) for later, _ in blocks[1:]))
+    nparams, empty = len(phi.param_names), {}
     odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
         if not rows:
             continue
-        if p == 1:
-            matrix = [[_pack(t, nparams, s) for t in row] for row in first]
+        if p == 1:  # all rows of sigma_d; its zero cells share one {}
+            matrix = list(zip(*[[empty if t is None else _pack(t, nparams, s) for t in columns[c]] for c in cols]))
         else:
             at = {r: u for u, r in enumerate(rows)}
             matrix = [[{}] * len(cols) for _ in rows]
@@ -758,7 +750,6 @@ def _resultant_by_complex(
                 for r, sign, t in maps[p - 2][c]:
                     if r in at:  # parameter t: total degree 1, exponent 1 at t
                         matrix[at[r]][v] = {1 << nparams * s | 1 << (nparams - 1 - t) * s: sign}
-        # The row scales are dropped: the normalization fixes the scale.
         (odd if p % 2 else even).append(_det_packed(matrix))
     res = reduce(_dict_mul, odd)
     if even:
@@ -766,16 +757,15 @@ def _resultant_by_complex(
         res = _dict_try_div(res, _normalize_int_dict(reduce(_dict_mul, even)), s)
         if res is None:
             raise PolyError("division is not exact")
-    poly = _from_terms(pv, _unpack(_normalize_int_dict(res), nparams, s))
-    degrees, total = _degrees(poly, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
+    res = _normalize_int_dict(res)
+    degrees, total = _block_degrees(res, [len(phi.block_names(i)) for i in range(1, spec.m + 1)], s)
     return ResultantOutput(
-        polynomial=poly,
-        block_degrees=tuple(int(b) for b in degrees),
+        polynomial=_from_terms(VarSet(phi.param_names), _unpack(res, nparams, s)),
+        block_degrees=tuple(degrees),
         confirmed=total == total_degree(spec),
         minors_used=len(odd) + len(even),
         minor_columns=(tuple(blocks[0][1]),),
         normalization="integer content 1, positive graded-lex leading coefficient",
-        sigma=sigma,
     )
 
 

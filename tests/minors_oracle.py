@@ -10,11 +10,12 @@ large minors.  The tests compare ``resultant_gcd`` with it where it does.
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from detres.chern_degree import ProblemSpec, total_degree
 from detres.polyring import (
+    NEG_INFINITY,
     PolyError,
     Polynomial,
     det_fraction_free,
@@ -24,10 +25,9 @@ from detres.polyring import (
 from detres.resultant_engine import (
     _POINT_SEED,
     ResultantOutput,
-    _degrees,
+    SigmaMatrix,
     _points,
     _resultant_degree,
-    _sigma_at,
     build_sigma,
     generic_morphism,
     row_echelon,
@@ -35,6 +35,41 @@ from detres.resultant_engine import (
 
 #: Column shuffles tried per requested minor after the two scan orders.
 SHUFFLES_PER_MINOR = 4
+
+
+def sigma_at(sigma: SigmaMatrix, point: Sequence[int]) -> list[list[int]]:
+    """The symbolic sigma_d (its entries have integer coefficients) at an
+    integer parameter point, in int arithmetic, term by term."""
+    out = []
+    for row in sigma.entries:
+        values = []
+        for p in row:
+            total = 0
+            for e, c in p.terms.items():
+                v = c.numerator
+                for x, k in zip(point, e):
+                    if k:
+                        v *= x**k
+                total += v
+            values.append(total)
+        out.append(values)
+    return out
+
+
+def degrees(poly: Polynomial, sizes: Sequence[int]) -> tuple[list, int | float]:
+    """Degrees of ``poly`` in consecutive blocks of variables of the given
+    sizes, and its total degree, in one pass over the exponent tuples:
+    maxima over the terms, as in ``degree_in`` and ``degree``
+    (``NEG_INFINITY`` for zero)."""
+    cuts = list(accumulate(sizes, initial=0))
+    spans = [*zip(cuts, cuts[1:]), (0, len(poly.varset))]
+    top: list = [NEG_INFINITY] * len(spans)
+    for e in poly.terms:
+        for t, (a, b) in enumerate(spans):
+            s = sum(e[a:b])
+            if s > top[t]:
+                top[t] = s
+    return top[:-1], top[-1]
 
 
 def candidate_column_sets(numeric: Sequence[Sequence], budget: int) -> Iterator[list[int]]:
@@ -87,7 +122,7 @@ def resultant_by_minors(
     sigma = build_sigma(spec, d, phi)
     rows = len(sigma.entries)
     for point in _points(phi):
-        plans = candidate_column_sets(_sigma_at(sigma, point), budget)
+        plans = candidate_column_sets(sigma_at(sigma, point), budget)
         first = next(plans, None)
         if first is not None:
             break
@@ -107,13 +142,12 @@ def resultant_by_minors(
             break
 
     assert current is not None
-    degrees, total = _degrees(current, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
+    blocks, total = degrees(current, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
     return ResultantOutput(
         polynomial=current,
-        block_degrees=tuple(int(b) for b in degrees),
+        block_degrees=tuple(int(b) for b in blocks),
         confirmed=total == target,
         minors_used=len(chosen),
         minor_columns=tuple(chosen),
         normalization="integer content 1, positive graded-lex leading coefficient",
-        sigma=sigma,
     )

@@ -229,31 +229,44 @@ class TestVanishTest:
         assert data["rank"] == data["rows"] == 3
 
     @pytest.mark.parametrize(
-        "phi",
+        "phi, reason",
         [
-            [[]],
-            [],
-            [[X0]],
-            [[X0, X0], [X0, X0]],
-            [[monomial_json(["y0", "y1"], [1, 0]), monomial_json(["y0", "y1"], [0, 1])]],
-            [[monomial_json(["x0", "x1", "x2"], [1, 0, 0]), X0]],
-            [[term_json([{"c": "1", "e": [0.5, 0.5]}]), X0]],
-            [[term_json([{"c": "1", "e": [True, 0]}]), X0]],
-            [[term_json([{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [1, 0]}]), X0]],
-            [[term_json([{"c": 0.1, "e": [1, 0]}]), X0]],
+            ([[]], "row 1 must have 2 entries"),
+            ([], "expected 1 rows"),
+            ([[X0]], "row 1 must have 2 entries"),
+            ([[X0, X0], [X0, X0]], "expected 1 rows"),
+            (
+                [[monomial_json(["y0", "y1"], [1, 0]), monomial_json(["y0", "y1"], [0, 1])]],
+                "variables ['y0', 'y1'] are not ['x0', 'x1'] in some order",
+            ),
+            (
+                [[monomial_json(["x0", "x1", "x2"], [1, 0, 0]), X0]],
+                "variables ['x0', 'x1', 'x2'] are not ['x0', 'x1'] in some order",
+            ),
+            ([[term_json([{"c": "1", "e": [0.5, 0.5]}]), X0]], "exponent [0.5, 0.5] is not a list of integers"),
+            ([[term_json([{"c": "1", "e": [True, 0]}]), X0]], "exponent [True, 0] is not a list of integers"),
+            (
+                [[term_json([{"c": "1", "e": [1, 0]}, {"c": "-1", "e": [1, 0]}]), X0]],
+                "exponent [1, 0] appears twice",
+            ),
+            ([[term_json([{"c": 0.1, "e": [1, 0]}]), X0]], "coefficient 0.1 is not a string or an integer"),
+            ([[{"vars": ["x0", "x1"]}, X0]], "a polynomial is an object with a list 'terms'"),
+            ([[term_json([{"e": [1, 0]}]), X0]], "term {'e': [1, 0]} is not an object with 'e' and 'c'"),
+            ({"rows": [[X0, X0]]}, "a morphism is a list of rows, each a list of entries"),
+            ([[{"vars": "x0x1", "terms": X0["terms"]}, X0]], "vars 'x0x1' is not a list of strings"),
         ],
         ids=[
             "empty-row", "no-rows", "short-row", "extra-row", "other-vars", "three-vars",
             "float-exponent", "bool-exponent", "repeated-exponent", "float-coefficient",
+            "missing-terms", "missing-coefficient", "object-file", "string-vars",
         ],
     )
-    def test_malformed_phi(self, spec_file, tmp_path, capsys, phi):
+    def test_malformed_phi(self, spec_file, tmp_path, capsys, phi, reason):
         path = spec_file("s.json", SYL11)
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps(phi))
         assert main(["test", "--spec", path, "--phi", str(phi_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad morphism") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: bad morphism in {phi_path}: {reason}\n"
 
 
 class TestChow:
@@ -282,6 +295,14 @@ class TestChow:
     def test_bad_scroll(self, capsys):
         assert main(["chow", "--scroll", "2,x", "--matrix-only"]) == 2
         assert main(["chow", "--scroll", "2,0", "--matrix-only"]) == 2
+
+    def test_matrix_payload_same_as_matrix_only(self, capsys):
+        assert main(["chow", "--scroll", "2,1", "--matrix-only", "--json"]) == 0
+        matrix_only = json.loads(capsys.readouterr().out)
+        assert main(["chow", "--scroll", "2,1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["matrix"] == matrix_only["matrix"]
+        assert data["chow_form"]["confirmed"]
 
     def test_budget_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -862,3 +862,23 @@ class TestSerialization:
     def test_rejects_malformed_terms(self, terms):
         with pytest.raises(PolyError):
             Polynomial.from_json({"vars": ["x", "y"], "terms": terms})
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            ([{"c": "1", "e": [1, 0]}], "an object with a list 'terms'"),
+            ({"terms": []}, "vars None is not a list of strings"),
+            ({"vars": "xy", "terms": []}, "vars 'xy' is not a list of strings"),
+            ({"vars": ["x", 1], "terms": []}, r"vars \['x', 1\] is not a list of strings"),
+            ({"vars": ["x", "y"]}, "an object with a list 'terms'"),
+            ({"vars": ["x", "y"], "terms": {"c": "1", "e": [1, 0]}}, "an object with a list 'terms'"),
+            ({"vars": ["x", "y"], "terms": [{"e": [1, 0]}]}, "with 'e' and 'c'"),
+            ({"vars": ["x", "y"], "terms": [{"c": "1"}]}, "with 'e' and 'c'"),
+            ({"vars": ["x", "y"], "terms": ["1"]}, "with 'e' and 'c'"),
+        ],
+        ids=["list", "no-vars", "string-vars", "int-var", "no-terms", "object-terms",
+             "no-c", "no-e", "string-term"],
+    )
+    def test_rejects_malformed_shape(self, data, reason):
+        with pytest.raises(PolyError, match=reason):
+            Polynomial.from_json(data)

@@ -19,8 +19,10 @@ from detres.polyring import (
 from detres.resultant_engine import (
     ConcreteMorphism,
     LascouxCaseError,
+    _block_degrees,
+    _columns_at,
     _compatible_blocks,
-    _degrees,
+    _sigma_columns,
     build_sigma,
     complex_strand,
     concrete_morphism,
@@ -37,7 +39,7 @@ from detres.resultant_engine import (
     vanish_test,
 )
 from detres.scroll_chow import ScrollSpec, chow_form, chow_generic_morphism, chow_problem
-from minors_oracle import candidate_column_sets, resultant_by_minors
+from minors_oracle import candidate_column_sets, degrees, resultant_by_minors
 
 
 def sylvester_spec(d1, d2):
@@ -904,6 +906,15 @@ class TestComplexRoute:
         assert out.confirmed
         assert (out.minors_used, out.minor_columns) == (1, ((0, 1, 2),))
 
+    @pytest.mark.parametrize("spec", [sylvester_spec(2, 3), chow_spec(1, 2)], ids=spec_id)
+    def test_builds_no_sigma_matrix(self, monkeypatch, spec):
+        # the route reads sigma_d's integer columns; no Polynomial cells
+        def refuse(*args):
+            raise AssertionError("build_sigma called")
+
+        monkeypatch.setattr(resultant_engine, "build_sigma", refuse)
+        assert resultant_gcd(spec, critical_degree(spec) + 1).confirmed
+
     def test_lascoux_spec_raises_before_sigma(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a matrix was built")
@@ -943,15 +954,52 @@ class TestComplexRoute:
         monkeypatch.setattr(resultant_engine, "_compatible_blocks", spy_blocks)
         monkeypatch.setattr(resultant_engine, "_det_packed", spy_det)
         naming = letter_naming() if letters else None
-        out = resultant_gcd(spec, critical_degree(spec) + extra, naming=naming)
-        (bound,) = bounds
+        d = critical_degree(spec) + extra
+        out = resultant_gcd(spec, d, naming=naming)
+        # _sigma_columns sizes its fields for x0..xN first, at d
+        sigma_bound, bound = bounds
+        assert sigma_bound == d
         blocks = chosen[-1]
         assert len(blocks) > 1
         ps = [p for p, (rows, _) in enumerate(blocks, start=1) if rows]
         assert len(ps) == len(dets) == out.minors_used
-        nparams, s = len(out.sigma.param_varset), field_bits(bound)
+        nparams, s = len(generic_morphism(spec).param_names), field_bits(bound)
         degrees = [max(map(sum, polyring._unpack(det, nparams, s))) for det in dets]
         assert bound >= sum(deg for p, deg in zip(ps, degrees) if p % 2)
+
+
+class TestColumnsAt:
+    """The route's evaluation of sigma_d's integer columns at a point against
+    ``Polynomial.evaluate`` on ``build_sigma``'s cells, at seeded points."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            sylvester_spec(2, 3),
+            ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
+            ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0)),
+            chow_spec(1, 1),
+        ],
+        ids=spec_id,
+    )
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_matches_evaluate(self, spec, extra):
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        columns = _sigma_columns(spec, d, phi)[2]
+        sigma = build_sigma(spec, d, phi)
+        rng = random.Random(4242 + extra)
+        for _ in range(3):
+            point = [rng.randint(-9, 9) for _ in phi.param_names]
+            at = dict(zip(phi.param_names, point))
+            want = [tuple(cell.evaluate(at) for cell in row) for row in sigma.entries]
+            assert _columns_at(columns, point) == want
+
+    def test_powers_and_shared_cells(self):
+        # generic minors are multilinear; the evaluation takes any exponent
+        cell = {(2, 0): 3, (0, 1): -1}
+        columns = [[cell, None], [{(1, 1): 2}, cell], [None, {(0, 0): 5}]]
+        assert _columns_at(columns, [2, -3]) == [(15, -12, 0), (0, 15, 5)]
 
 
 def integer_values(gen, rng):
@@ -1014,9 +1062,9 @@ class TestNumericCayley:
         gen = generic_morphism(spec)
         got, maps = complex_strand(spec, nu + extra, gen)
         assert got == dims
-        sigma = build_sigma(spec, nu + extra, gen)
+        columns = _sigma_columns(spec, nu + extra, gen)[2]
         rng = random.Random(0xCA7 + extra)
-        blocks = _compatible_blocks(sigma, dims, maps, list(integer_values(gen, rng).values()))
+        blocks = _compatible_blocks(columns, dims, maps, list(integer_values(gen, rng).values()))
         assert blocks is not None and len(blocks) == len(dims) - 1
         ratios = set()
         for _ in range(3):
@@ -1076,10 +1124,11 @@ class TestDeterminantLayer:
 
 
 class TestOnePassDegrees:
-    """``_degrees`` against ``Polynomial.degree_in`` and ``Polynomial.degree``
-    on seeded random polynomials over the parameters of generic morphisms."""
+    """The tests' one-pass ``degrees`` and the packed-key ``_block_degrees``
+    against ``Polynomial.degree_in`` and ``Polynomial.degree`` on seeded
+    random polynomials over the parameters of generic morphisms."""
 
-    @pytest.mark.parametrize(
+    PHIS = pytest.mark.parametrize(
         "phi",
         [
             generic_morphism(sylvester_spec(2, 3)),
@@ -1088,17 +1137,41 @@ class TestOnePassDegrees:
         ],
         ids=["sylvester", "macaulay", "S21"],
     )
-    def test_matches_degree_in(self, phi):
-        pv = VarSet(phi.param_names)
-        m = phi.spec.m
-        sizes = [len(phi.block_names(i)) for i in range(1, m + 1)]
+
+    @staticmethod
+    def seeded(pv):
         rng = random.Random(808)
         for nterms in (0, 1, 2, 5, 12, 30):
             terms = {
                 tuple(rng.choice((0, 0, 0, 0, 1, 2, 3)) for _ in pv.names): rng.randint(1, 9)
                 for _ in range(nterms)
             }
-            poly = Polynomial(pv, terms)
-            blocks, total = _degrees(poly, sizes)
-            assert blocks == [poly.degree_in(phi.block_names(i)) for i in range(1, m + 1)]
-            assert total == poly.degree
+            yield Polynomial(pv, terms)
+
+    @staticmethod
+    def expected(poly, phi):
+        blocks = [poly.degree_in(phi.block_names(i)) for i in range(1, phi.spec.m + 1)]
+        return blocks, poly.degree
+
+    @staticmethod
+    def sizes(phi):
+        return [len(phi.block_names(i)) for i in range(1, phi.spec.m + 1)]
+
+    @PHIS
+    def test_matches_degree_in(self, phi):
+        for poly in self.seeded(VarSet(phi.param_names)):
+            assert degrees(poly, self.sizes(phi)) == self.expected(poly, phi)
+
+    @PHIS
+    @pytest.mark.parametrize("s", [8, 16])
+    def test_packed_keys(self, phi, s):
+        pv = VarSet(phi.param_names)
+        polys = [*self.seeded(pv), Polynomial.constant(pv, 5)]
+        # 127 is the largest degree an 8-bit field holds
+        for t in (0, len(pv) // 2, len(pv) - 1):
+            e = [0] * len(pv)
+            e[t] = 127
+            polys.append(Polynomial(pv, {tuple(e): -1, (0,) * len(pv): 3}))
+        for poly in polys:
+            packed = polyring._pack(poly.terms, len(pv), s)
+            assert _block_degrees(packed, self.sizes(phi), s) == self.expected(poly, phi)

@@ -7,6 +7,7 @@ from detres import polyring
 from detres.chern_degree import ExistenceError
 from detres.polyring import Polynomial, VarSet
 from detres.resultant_engine import (
+    build_sigma,
     critical_degree,
     letter_naming,
     parameter_assignment,
@@ -405,7 +406,8 @@ class TestLargerChowForms:
         spec, out = larger_chow
         assert out.confirmed
         assert out.block_degrees == (sum(spec.degrees),) * (spec.r + 1)
-        rows, cols = out.sigma.shape
+        problem = chow_problem(spec)
+        rows, cols = build_sigma(problem, critical_degree(problem), chow_generic_morphism(spec)).shape
         assert out.minors_used == (1 if rows == cols else 2)
 
     def test_zero_at_planes_through_scroll_points(self, larger_chow):
