@@ -22,9 +22,15 @@ For 0 < r < n - 1 the complex is Lascoux's, which is not built here:
 
 The rank test stays on integers: each row of a concrete morphism is cleared
 of denominators and packed once, every Delta_{J,I} is an integer minor, and
-``row_echelon`` (Bareiss elimination that rescales a row only when it next
-uses it) takes the rank of the resulting columns, each the true column
-times a nonzero constant.  ``build_sigma`` divides by those constants.
+``rational_rank`` takes the rank of the resulting columns, each the true
+column times a nonzero constant (``build_sigma`` divides by those
+constants).  That rank is taken modulo p = 2^61 - 1 on rows packed into one
+int each and certified exactly by one of three paths: full row rank modulo p
+is full rank over Q; a rank drop is confirmed by kernel vectors lifted from
+the residues and checked over Z; anything else falls back to ``row_echelon``
+(Bareiss elimination that rescales a row only when it next uses it), which
+also serves ``rational_det`` and the choice of blocks, whose pivot columns
+are part of the output.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, combinations_with_replacement
-from math import lcm, prod
+from itertools import chain, combinations, combinations_with_replacement
+from math import isqrt, lcm, prod
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -381,6 +387,18 @@ def _sigma_columns(
 # ---------------------------------------------------------------------------
 
 
+def _integer_rows(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Each row scaled by the lcm of its denominators, and those scales (an
+    all-int matrix is taken as it is)."""
+    ints = set(map(type, chain.from_iterable(matrix))) <= {int}
+    dens = [1 if ints else lcm(*[v.denominator for v in row]) for row in matrix]
+    m = [
+        list(row) if ints else [v.numerator * (den // v.denominator) for v in row]
+        for row, den in zip(matrix, dens)
+    ]
+    return m, dens
+
+
 def row_echelon(
     matrix: Sequence[Sequence[Fraction | int]],
 ) -> tuple[list[int], list[Fraction], int]:
@@ -404,12 +422,7 @@ def row_echelon(
     ``M_{k-1} / level[r]``.  So an update divides by ``level[r]``, and a new
     pivot row is first multiplied by ``M_{k-1} // level[r]``, both exactly.
     """
-    ints = all(type(v) is int for row in matrix for v in row)
-    dens = [1 if ints else lcm(*[v.denominator for v in row]) for row in matrix]
-    m = [
-        list(row) if ints else [v.numerator * (den // v.denominator) for v in row]
-        for row, den in zip(matrix, dens)
-    ]
+    m, dens = _integer_rows(matrix)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     level = [1] * rows
@@ -447,9 +460,119 @@ def row_echelon(
     return pivots, values, sign
 
 
+#: The Mersenne prime of the certified rank: as 2^61 = 1 (mod p), a field is
+#: reduced by adding its bits from 61 up to its low 61 bits.
+_MERSENNE = (1 << 61) - 1
+#: Wang's bound for rational reconstruction modulo ``_MERSENNE``: numerator
+#: and denominator at most sqrt(p / 2), so that at most one such fraction has
+#: a given residue.
+_LIFT_BOUND = isqrt(_MERSENNE // 2)
+
+
 def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Exact rank of a rational matrix by fraction-free elimination over Z."""
+    """Exact rank of a rational matrix, certified modulo p = 2^61 - 1.
+
+    Each row is cleared of denominators (which keeps the rank), reduced
+    modulo p and followed by an identity block that records the row
+    operations; Gaussian elimination modulo p then runs on whole rows packed
+    into one int each (see ``_rank_mod_p``).  The rank modulo p never exceeds
+    the rank over Q, and the result is exact by one of three paths:
+
+    - full row rank modulo p: some maximal minor is nonzero modulo p, so
+      nonzero over Z, and the rank is the row count;
+    - a rank drop: each row left without a pivot carries the combination y of
+      the rows that cleared it, with 1 at its own row and 0 at the other such
+      rows, so these y are independent.  Each is lifted to Q by rational
+      reconstruction (Wang, Guy & Davenport, 1982), cleared of denominators
+      and checked exactly: y * M = 0 over Z.  They bound the rank over Q from
+      above by the rank modulo p, which bounds it from below;
+    - otherwise (an unlucky prime, whose rank is below the rank over Q, or a
+      kernel vector whose entries are too large to reconstruct),
+      ``row_echelon``'s exact elimination.
+    """
+    m = _integer_rows(matrix)[0]
+    rank, kernel = _rank_mod_p(m)
+    for y in kernel:
+        lifted = [_reconstruct(u) for u in y]
+        if None in lifted:
+            break
+        den = lcm(*[f.denominator for f in lifted])
+        total = [0] * len(m[0])
+        for row, f in zip(m, lifted):
+            if f:
+                scale = f.numerator * (den // f.denominator)
+                total = [a + scale * b for a, b in zip(total, row)]
+        if any(total):
+            break
+    else:
+        return rank
     return len(row_echelon(matrix)[0])
+
+
+def _rank_mod_p(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Rank of an integer matrix modulo p = ``_MERSENNE``, and for each row
+    that found no pivot the residues of the combination of rows that cleared it.
+
+    Row r is one int of fields of w bits, whole bytes: its columns, the first
+    one highest, then the unit vector e_r.  A pivot row T is folded twice,
+    each field to its low 61 bits plus its bits from 61 up, which keeps its
+    residues and bounds its fields by 2^61 + 2^(w - 122) + 1 < 2^62 (w is at
+    most 176 below 2^50 rows); a row R is cleared in T's column by the single
+    multiply-add R += c * T, c < p.  R starts below p and is updated at most
+    rows - 1 times, each adding less than 2^61 * 2^62 to a field, so every
+    field stays below rows * 2^123 < 2^w, as w >= bitlen(2(rows + 2)) + 124:
+    none carries into the next.  Fields of cleared columns are left as
+    multiples of p; a pivot row drops those above its column.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    size = -(-((2 * (rows + 2)).bit_length() + 124) // 8)
+    w, fields = 8 * size, cols + rows
+    zero, unit = bytes(size), (1).to_bytes(size, "big")
+    residue = {a: (a % _MERSENNE).to_bytes(size, "big") for a in set(chain.from_iterable(m))}
+    packed = [
+        int.from_bytes(
+            b"".join([residue[a] for a in row]) + zero * r + unit + zero * (rows - 1 - r),
+            "big",
+        )
+        for r, row in enumerate(m)
+    ]
+    lo = int.from_bytes(_MERSENNE.to_bytes(size, "big") * fields, "big")
+    hi = int.from_bytes(((1 << w - 61) - 1).to_bytes(size, "big") * fields, "big")
+    field = (1 << w) - 1
+    live = list(range(rows))  # the rows without a pivot
+    rank = 0
+    for c in range(cols):
+        if not live:
+            break
+        shift = (fields - 1 - c) * w
+        values = [(packed[r] >> shift & field) % _MERSENNE for r in live]
+        k = next((k for k, v in enumerate(values) if v), None)
+        if k is None:
+            continue
+        top = packed[live.pop(k)] & (1 << shift + w) - 1
+        for _ in range(2):
+            top = (top & lo) + (top >> 61 & hi)
+        inv = pow(values.pop(k), -1, _MERSENNE)
+        for r, v in zip(live, values):
+            if v:
+                packed[r] += (_MERSENNE - v) * inv % _MERSENNE * top
+        rank += 1
+    kernel = []
+    for r in live:
+        block = (packed[r] & (1 << rows * w) - 1).to_bytes(rows * size, "big")
+        kernel.append([int.from_bytes(block[t : t + size], "big") % _MERSENNE for t in range(0, len(block), size)])
+    return rank, kernel
+
+
+def _reconstruct(u: int) -> Fraction | None:
+    """The fraction a / b with |a|, |b| <= ``_LIFT_BOUND`` and a = b * u
+    (mod p), by the extended Euclidean algorithm, or None (Wang)."""
+    r0, r1, t0, t1 = _MERSENNE, u, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= _LIFT_BOUND else None
 
 
 def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -520,14 +643,26 @@ def _block_degrees(p: dict, sizes: Sequence[int], s: int) -> tuple[list, int | f
     """Degrees of the packed ``p`` (``s``-bit fields) in consecutive blocks of
     its variables of the given sizes, none empty, and its total degree (the
     top field of the largest key), as ``degree_in`` and ``degree`` give them.
-    A run of L fields times ``ones`` (1 in each field) sums them in field
-    L - 1; no field carries, as no partial sum exceeds the total degree."""
-    mask, shift, degrees = (1 << s) - 1, sum(sizes) * s, []
-    for size in sizes:
-        shift, run = shift - size * s, (1 << size * s) - 1
-        ones, top = run // mask, (size - 1) * s
-        degrees.append(max([((key >> shift & run) * ones >> top) & mask for key in p], default=NEG_INFINITY))
-    return degrees, max(p) >> sum(sizes) * s if p else NEG_INFINITY
+    A key times ``ones`` (1 in each of L fields) holds in each field the sum
+    of that field and the L - 1 below it, so the top field of a block of
+    size L holds the block's degree: one product per distinct size serves
+    every block of that size.  No field carries, as no partial sum of the
+    variables' fields exceeds the total degree, and the total degree field
+    only adds to the fields above it."""
+    if not p:
+        return [NEG_INFINITY] * len(sizes), NEG_INFINITY
+    mask, params = (1 << s) - 1, sum(sizes) * s
+    degrees = [0] * len(sizes)
+    for size in set(sizes):
+        ones = ((1 << size * s) - 1) // mask
+        sums = [key * ones for key in p]
+        shift = params
+        for b, length in enumerate(sizes):
+            shift -= length * s
+            if length == size:
+                top = shift + (size - 1) * s
+                degrees[b] = max([total >> top & mask for total in sums])
+    return degrees, max(p) >> params
 
 
 # -- the complex route (Cayley's formula) ------------------------------------

@@ -501,24 +501,63 @@ class TestRowEchelon:
 
 #: Prime for the rank oracle: rank modulo p never exceeds the rank over Q.
 PRIME = (1 << 61) - 1
+#: A second prime, for oracles of ``rational_rank``, which works modulo PRIME;
+#: below 2^15, so that the oracle's products stay small ints.
+OTHER_PRIME = 32749
 
 
-def rank_mod_p(matrix):
+def rank_mod_p(matrix, prime=PRIME):
     """Rank over GF(p) of a rational matrix whose denominators p does not divide."""
-    m = [[x.numerator * pow(x.denominator, -1, PRIME) % PRIME for x in row] for row in matrix]
+    m = [[x.numerator * pow(x.denominator, -1, prime) % prime for x in row] for row in matrix]
     rank = 0
     for c in range(len(m[0])):
         pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, PRIME)
+        inv = pow(m[rank][c], -1, prime)
+        top = m[rank][c:]  # the rows below are zero left of c
         for r in range(rank + 1, len(m)):
-            f = m[r][c] * inv % PRIME
+            f = m[r][c] * inv % prime
             if f:
-                m[r] = [(a - f * b) % PRIME for a, b in zip(m[r], m[rank])]
+                m[r][c:] = [(a - f * b) % prime for a, b in zip(m[r][c:], top)]
         rank += 1
     return rank
+
+
+def integer_morphism(spec, rng, point=None):
+    """Seeded integer morphism for a spec with N = 3 and k = 0, coefficients
+    in [-2, 2].  With ``point`` entry (j, i) takes the value u_j v_i there,
+    so phi has rank one at the point and the resultant vanishes."""
+    varset = VarSet(("x0", "x1", "x2", "x3"))
+    rows = [[{e: rng.randint(-2, 2) for e in monomials_of_degree(4, di)} for di in spec.d] for _ in range(spec.n)]
+    if point is not None:
+        u, v = (1, -2, 1), (2, 1, -1)
+        for j, row in enumerate(rows):
+            for i, f in enumerate(row):
+                at_p = sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.items())
+                f[(spec.d[i], 0, 0, 0)] += u[j] * v[i] - at_p
+    return ConcreteMorphism(spec, varset, tuple(tuple(Polynomial(varset, f) for f in row) for row in rows))
+
+
+def spy_row_echelon(monkeypatch):
+    """The row counts of the matrices ``row_echelon`` is called on."""
+    calls = []
+
+    def spy(matrix):
+        calls.append(len(matrix))
+        return row_echelon(matrix)
+
+    monkeypatch.setattr(resultant_engine, "row_echelon", spy)
+    return calls
+
+
+def annihilated_by_witness(sigma, point):
+    """Whether evaluation at ``point`` kills every column of sigma: each
+    column is a minor of the morphism times a monomial, zero at a point of
+    rank drop, so the rank is below the row count."""
+    witness = [prod(x**k for x, k in zip(point, rho)) for rho in sigma.row_basis]
+    return all(sum(w * row[c] for w, row in zip(witness, sigma.entries)) == 0 for c in range(sigma.shape[1]))
 
 
 class TestSigmaRank56x120:
@@ -532,24 +571,8 @@ class TestSigmaRank56x120:
 
     SPEC = ProblemSpec(3, 3, 1, (2, 1, 1), (0, 0, 0))
 
-    def morphism(self, rng, point=None):
-        varset = VarSet(("x0", "x1", "x2", "x3"))
-        rows = [
-            [{e: rng.randint(-2, 2) for e in monomials_of_degree(4, di)} for di in self.SPEC.d]
-            for _ in range(3)
-        ]
-        if point is not None:  # entry (j, i) takes the value u_j v_i at the point
-            u, v = (1, -2, 1), (2, 1, -1)
-            for j, row in enumerate(rows):
-                for i, f in enumerate(row):
-                    at_p = sum(c * prod(x**k for x, k in zip(point, e)) for e, c in f.items())
-                    f[(self.SPEC.d[i], 0, 0, 0)] += u[j] * v[i] - at_p
-        return ConcreteMorphism(
-            self.SPEC, varset, tuple(tuple(Polynomial(varset, f) for f in row) for row in rows)
-        )
-
     def test_nonvanishing(self):
-        phi = self.morphism(random.Random(56))
+        phi = integer_morphism(self.SPEC, random.Random(56))
         sigma = build_sigma(self.SPEC, critical_degree(self.SPEC), phi)
         assert sigma.shape == (56, 120)
         assert rank_mod_p(sigma.entries) == 56
@@ -558,16 +581,95 @@ class TestSigmaRank56x120:
 
     def test_vanishing(self):
         point = (1, 2, -1, 3)
-        phi = self.morphism(random.Random(120), point)
+        phi = integer_morphism(self.SPEC, random.Random(120), point)
         sigma = build_sigma(self.SPEC, critical_degree(self.SPEC), phi)
-        witness = [prod(x**k for x, k in zip(point, rho)) for rho in sigma.row_basis]
-        for c in range(120):
-            assert sum(w * row[c] for w, row in zip(witness, sigma.entries)) == 0
+        assert annihilated_by_witness(sigma, point)
         # rank <= 55 by the witness, >= the rank modulo p
         assert rank_mod_p(sigma.entries) == 55
         result = sigma_rank(self.SPEC, phi)
         assert (result.rank, result.vanishes) == (55, True)
         assert vanish_test(self.SPEC, phi) is True
+
+
+class TestCertifiedRank:
+    """Each path of ``rational_rank``: full rank and a rank drop modulo
+    2^61 - 1 are certified without ``row_echelon``; an unlucky prime and a
+    kernel too large to reconstruct fall back to it."""
+
+    SPEC = ProblemSpec(3, 3, 1, (1, 1, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("vanishing", [False, True])
+    def test_sigma_331_certified(self, monkeypatch, vanishing):
+        point = (1, -1, 2, 1) if vanishing else None
+        phi = integer_morphism(self.SPEC, random.Random(331), point)
+        sigma = build_sigma(self.SPEC, critical_degree(self.SPEC), phi)
+        assert sigma.shape == (20, 36)
+        rank = len(row_echelon(sigma.entries)[0])
+        assert rank == 20 - vanishing
+        calls = spy_row_echelon(monkeypatch)
+        assert sigma_rank(self.SPEC, phi) == (sigma.d, 20, 36, rank)
+        assert rational_rank(sigma.entries) == rank
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "matrix, rank",
+        [
+            ([[PRIME]], 1),  # rank 0 modulo p
+            ([[PRIME, 0], [0, 1]], 2),  # rank 1 modulo p
+            ([[1, 0], [1 << 40, 0]], 1),  # kernel (-2^40, 1): no reconstruction
+        ],
+        ids=["p", "p-and-1", "large-kernel"],
+    )
+    def test_falls_back(self, monkeypatch, matrix, rank):
+        calls = spy_row_echelon(monkeypatch)
+        assert rational_rank(matrix) == rank
+        assert calls == [len(matrix)]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[-1, 2, -3], [2, -4, 6], [0, -1, 5]],
+            [[PRIME + 1, 2 * PRIME, 5], [3 * PRIME + 2, 1 << 70, -PRIME]],
+            [[Fraction(1, 3), Fraction(-5, 2)], [Fraction(2, 3), -5], [1, Fraction(7, 9)]],
+            [[0, 0, 0], [0, 0, 0]],
+            [[0, 3, -7, 2]],
+            [[4], [-6], [0]],
+            [[1, 2], [3, 4], [5, 6], [7, 9], [-1, 1]],
+            [[2, 4, 6], [3, 6, 9], [-1, -2, -3], [5, 10, 15]],
+            [],
+        ],
+        ids=["negative", "at-least-p", "fractions", "zero", "1xn", "nx1", "tall", "rank-one", "empty"],
+    )
+    def test_against_row_echelon(self, monkeypatch, matrix):
+        rank = len(row_echelon(matrix)[0])
+        calls = spy_row_echelon(monkeypatch)
+        assert rational_rank(matrix) == rank
+        assert calls == []
+
+
+class TestSigmaRankAimSizes:
+    """sigma_nu of spec (3,3,1) at d=(2,2,1) (120x270) and d=(2,2,2)
+    (220x504), the sizes of the rank targets: one nonvanishing and one
+    vanishing morphism each, ranked without ``row_echelon``.  Full rank is
+    certified by full rank modulo a second prime; a rank drop by the
+    witness at its point (rank below the rows) and the rank modulo that
+    prime (rank at least rows - 1)."""
+
+    @pytest.mark.parametrize("vanishing", [False, True])
+    @pytest.mark.parametrize("d, shape", [((2, 2, 1), (120, 270)), ((2, 2, 2), (220, 504))], ids=["120x270", "220x504"])
+    def test_rank(self, monkeypatch, d, shape, vanishing):
+        spec = ProblemSpec(3, 3, 1, d, (0, 0, 0))
+        point = (1, 2, -1, 3) if vanishing else None
+        phi = integer_morphism(spec, random.Random(sum(shape)), point)
+        sigma = build_sigma(spec, critical_degree(spec), phi)
+        assert sigma.shape == shape
+        rows = shape[0]
+        if vanishing:
+            assert annihilated_by_witness(sigma, point)
+        assert rank_mod_p(sigma.entries, OTHER_PRIME) == rows - vanishing
+        calls = spy_row_echelon(monkeypatch)
+        assert sigma_rank(spec, phi) == (sigma.d, *shape, rows - vanishing)
+        assert calls == []
 
 
 def rational_morphism(spec, rng, point=None):
