@@ -14,11 +14,12 @@ determinant of the degree-d strand of a complex whose first differential is
 sigma_d: the Koszul complex of the m*n entries for r = 0 (sigma_d is their
 Macaulay map), the Eagon-Northcott complex for r = n - 1.  That determinant
 is a quotient of square determinants by Cayley's formula (Gelfand, Kapranov
-& Zelevinsky, 1994, Appendix A).  From the integer columns of sigma_d to the
-normalized resultant and its degrees, the route runs on integer term dicts,
-packed from block 1 on; only the resultant becomes a ``Polynomial`` again.
-For 0 < r < n - 1 the complex is Lascoux's, which is not built here:
-``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
+& Zelevinsky, 1994, Appendix A).  From the morphism's coefficients to the
+normalized resultant and its degrees, the route runs on packed integer term
+dicts: sigma_d's minors are taken on its entries packed once, in the fields
+of the block determinants; only the resultant becomes a ``Polynomial``
+again.  For 0 < r < n - 1 the complex is Lascoux's, which is not built
+here: ``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
 
 The rank test stays on integers: each row of a concrete morphism is cleared
 of denominators and packed once, every Delta_{J,I} is an integer minor, and
@@ -38,7 +39,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import isqrt, lcm, prod
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -62,10 +63,10 @@ from .polyring import (
     _dict_try_div,
     _field_bits,
     _from_terms,
+    _layout,
     _normalize_int_dict,
     _pack,
     _unpack,
-    det_fraction_free,
     monomials_of_degree,
 )
 
@@ -290,35 +291,18 @@ class SigmaMatrix(NamedTuple):
     def shape(self) -> tuple[int, int]:
         return (len(self.row_basis), len(self.col_basis))
 
-    def column_polynomial(self, c: int) -> Polynomial:
-        """Re-expansion sum_rho entry(rho, c) * rho of a symbolic column.
-
-        Returns a polynomial over the full (geometric + parameter) varset;
-        by construction it equals ``Delta_{J,I} * mu``.
-        """
-        if not self.symbolic:
-            raise PolyError("column_polynomial requires a symbolic matrix")
-        assert self.param_varset is not None
-        geo = geometric_names(self.spec)
-        full = VarSet(geo + self.param_varset.names)
-        terms: dict[Exponent, Fraction] = {}
-        for r, rho in enumerate(self.row_basis):
-            p = self.entries[r][c]
-            for pe, coeff in p.terms.items():
-                terms[rho + pe] = terms.get(rho + pe, Fraction(0)) + coeff
-        return Polynomial(full, terms)
-
 
 def build_sigma(
     spec: ProblemSpec,
     d: int,
     phi: GenericMorphism | ConcreteMorphism,
 ) -> SigmaMatrix:
-    row_basis, col_basis, columns, omitted = _sigma_columns(spec, d, phi)
+    ps = _field_bits(spec.r + 1)
+    row_basis, col_basis, columns, omitted = _sigma_columns(spec, d, phi, ps)
     pv = VarSet(phi.param_names) if isinstance(phi, GenericMorphism) else None
     if pv is not None:
         zero = Polynomial.zero(pv)
-        cells = [[zero if v is None else _from_terms(pv, v) for v in col] for col in columns]
+        cells = [[_from_terms(pv, _unpack(v, len(pv), ps)) if v else zero for v in col] for col in columns]
     else:
         cells = [[Fraction(v, scale) for v in col] for col, scale in columns]
     entries = tuple(zip(*cells)) or ((),) * len(row_basis)
@@ -326,17 +310,17 @@ def build_sigma(
 
 
 def _sigma_columns(
-    spec: ProblemSpec, d: int, phi: GenericMorphism | ConcreteMorphism
+    spec: ProblemSpec, d: int, phi: GenericMorphism | ConcreteMorphism, ps: int | None = None
 ) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int]:
     """The layout of sigma_d: row basis, column keys, columns and the count
-    of omitted column groups.  A generic column lists per row None or the
-    entry's term dict over the parameters, with the integer coefficients of
-    ``det_fraction_free``'s Delta_{J,I}; the columns of one Delta_{J,I}
-    share these dicts.  A concrete column is a pair (integer cells, scale):
-    phi's rows are cleared of denominators and packed once, each
-    Delta_{J,I} is an integer minor of the packed rows, and the column is
-    the true one times ``scale``, the product of the row scales over J.
-    """
+    of omitted column groups.  phi's entries are packed once, and each
+    Delta_{J,I} is a ``_det_packed`` minor of them, scattered into rows.  A
+    generic column lists per row a packed term dict over the parameters in
+    nparams + 1 fields of ``ps`` bits (given for a generic phi), as block 1
+    of ``_resultant_by_complex`` takes it: one {} for its zero cells, the
+    cells of a Delta_{J,I} shared by its columns.  A concrete column is a
+    pair (integer cells, scale): phi's rows are cleared of denominators, and
+    the column is the true one times ``scale``, the row scales' product."""
     require_existence(spec)
     if phi.spec != spec:
         raise PolyError("morphism spec does not match")
@@ -346,14 +330,24 @@ def _sigma_columns(
     symbolic = isinstance(phi, GenericMorphism)
     monomials = cache(lambda deg: monomials_of_degree(nv, deg))
     row_basis = tuple(monomials(d))
-    # Delta_{J,I} * mu has degree d in x0..xN, a concrete minor at most r+1
-    # entry degrees.
+    # Delta_{J,I} * mu has degree d in x0..xN, a concrete minor r+1 entry degrees at most.
     s = _field_bits(d)
-    if not symbolic:
+    if symbolic:
+        # x^e c_t: the key of e above bit ``low``, 1 << nparams*ps | 1 << (nparams-1-t)*ps below it.
+        # A parameter field of an (r+1)-minor is at most r+1 < 2^(ps-1): no carry crosses ``low``.
+        nparams = len(phi.param_names)
+        low = (nparams + 1) * ps
+        exps = dict.fromkeys(e for _, _, e in phi.coeff_names)
+        geo = dict(zip(exps, _pack(exps, nv, s)))
+        packed = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
+        for t, (j, i, e) in enumerate(phi.coeff_names):  # parameter t is the t-th name
+            packed[j - 1][i - 1][geo[e] << low | 1 << nparams * ps | 1 << (nparams - 1 - t) * ps] = 1
+    else:
         cleared = [_clear_denominators(*[p.terms for p in row]) for row in phi.entries]
         top = max([sum(e) for row, _ in cleared for t in row for e in t], default=0)
         s = _field_bits(max(d, (spec.r + 1) * top))
         packed = [[_pack(t, nv, s) for t in row] for row, _ in cleared]
+    zero = {} if symbolic else 0
     row_index = _pack({e: r for r, e in enumerate(row_basis)}, nv, s)
     keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
     col_basis: list[ColKey] = []
@@ -365,16 +359,16 @@ def _sigma_columns(
             if mu_deg < 0:
                 omitted += 1
                 continue
+            delta = _det_packed([[packed[j - 1][i - 1] for i in I] for j in J])
             if symbolic:  # the cells of Delta_{J,I}, by monomial in x0..xN
-                delta: dict = {}
-                for e, c in det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms.items():
-                    delta.setdefault(e[:nv], {})[e[nv:]] = c.numerator
-                delta = _pack(delta, nv, s)
+                cells: dict = {}
+                for key, c in delta.items():
+                    cells.setdefault(key >> low, {})[key & (1 << low) - 1] = c
+                delta = cells
             else:
-                delta = _det_packed([[packed[j - 1][i - 1] for i in I] for j in J])
                 scale = prod(cleared[j - 1][1] for j in J)
             for mu, key in zip(monomials(mu_deg), keys(mu_deg)):
-                col: list = [None if symbolic else 0] * len(row_basis)
+                col = [zero] * len(row_basis)
                 for e, c in delta.items():
                     col[row_index[e + key]] = c
                 col_basis.append((J, I, mu))
@@ -786,39 +780,44 @@ def _points(phi: GenericMorphism) -> Iterator[list[int]]:
         yield [rng.randint(1, 4099) for _ in phi.param_names]
 
 
-def _columns_at(columns: Sequence[list], point: Sequence[int]) -> list[tuple[int, ...]]:
-    """The rows of the generic sigma_d (``_sigma_columns``'s columns) at an
-    integer parameter point, each distinct parameter monomial evaluated once."""
-    values: dict[Exponent, int] = {}
-    out = []
+def _columns_at(columns: Sequence[list], point: Sequence[int], ps: int) -> list[tuple[int, ...]]:
+    """The rows of the generic sigma_d (``_sigma_columns``'s columns, cells in
+    ``ps``-bit fields) at an integer parameter point, each distinct packed
+    parameter key unpacked and evaluated once."""
+    layout, values, out = _layout(len(point), ps), {}, []
     for col in columns:
         cells = []
         for cell in col:
             total = 0
-            if cell is not None:
-                for e, c in cell.items():
-                    v = values.get(e)
-                    if v is None:
-                        v = values[e] = prod([x**k for x, k in zip(point, e) if k])
-                    total += c * v
+            for key, c in cell.items():
+                if key not in values:
+                    e = layout.unpack(key.to_bytes(layout.size, "big"))[1:]
+                    values[key] = prod([x**k for x, k in zip(point, e) if k])
+                total += c * values[key]
             cells.append(total)
         out.append(cells)
     return list(zip(*out))
 
 
+def _block_rows(dims: Sequence[int]) -> list[int]:
+    """The row counts of ``_compatible_blocks``' blocks from the dims alone:
+    dims[0] in block 1, then dims[p-1] less the rows of square block p-1."""
+    return list(accumulate(dims[1:-1], lambda rows, dim: dim - rows, initial=dims[0]))
+
+
 def _compatible_blocks(
-    columns: Sequence[list], dims: Sequence[int], maps: Sequence, point: Sequence[int]
+    columns: Sequence[list], dims: Sequence[int], maps: Sequence, point: Sequence[int], ps: int
 ) -> list[tuple[list[int], list[int]]] | None:
     """Rows and columns of the square blocks of D_1, D_2, ... at ``point``.
 
-    Block 1 is sigma_d (``_sigma_columns``'s generic ``columns``) on all rows
-    and its greedy pivot columns S_1; block p takes the rows of D_p outside
-    S_{p-1} and the greedy pivot columns S_p of D_p on them.  None when some
-    block falls short of full row rank at ``point`` or S_P misses part of
-    the top term: then the strand is not exact there.
+    Block 1 is sigma_d (``_sigma_columns``' generic ``columns``, ``ps``-bit
+    fields) on all rows and its greedy pivot columns S_1; block p takes the
+    rows of D_p outside S_{p-1} and the greedy pivot columns S_p of D_p on
+    them.  None when some block falls short of full row rank at ``point`` or
+    S_P misses part of the top term: then the strand is not exact there.
     """
     rows = list(range(dims[0]))
-    cols = row_echelon(_columns_at(columns, point))[0]
+    cols = row_echelon(_columns_at(columns, point, ps))[0]
     if len(cols) < len(rows):
         return None
     blocks = [(rows, cols)]
@@ -856,28 +855,29 @@ def _resultant_by_complex(
     term gives det(sigma_d) without a point.
     """
     phi = generic_morphism(spec, naming)
-    columns = _sigma_columns(spec, d, phi)[2]
     dims, maps = complex_strand(spec, d, phi)
+    # One field size for all blocks and sigma_d's cells: no product of
+    # determinants exceeds the sum of their rows times their entry degree,
+    # r+1 in block 1 (Delta_{J,I} is an (r+1)-form) and 1 after it.
+    first, *later = _block_rows(dims)
+    s = _field_bits(first * (spec.r + 1) + sum(later))
+    columns = _sigma_columns(spec, d, phi, s)[2]
     if dims[0] == dims[1] and not maps:
         blocks = [(list(range(dims[0])), list(range(dims[1])))]
     else:
         for point in _points(phi):
-            blocks = _compatible_blocks(columns, dims, maps, point)
+            blocks = _compatible_blocks(columns, dims, maps, point, s)
             if blocks is not None:
                 break
         else:
             raise PolyError("could not find compatible nonsingular blocks")
-    # One field size for every block: no product of determinants exceeds
-    # the sum of their rows times their entry degree, r+1 in block 1 (each
-    # Delta_{J,I} is a form of degree r+1 in the parameters) and 1 after it.
-    s = _field_bits(dims[0] * (spec.r + 1) + sum(len(later) for later, _ in blocks[1:]))
-    nparams, empty = len(phi.param_names), {}
+    nparams = len(phi.param_names)
     odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
         if not rows:
             continue
-        if p == 1:  # all rows of sigma_d; its zero cells share one {}
-            matrix = list(zip(*[[empty if t is None else _pack(t, nparams, s) for t in columns[c]] for c in cols]))
+        if p == 1:  # all rows of sigma_d
+            matrix = list(zip(*[columns[c] for c in cols]))
         else:
             at = {r: u for u, r in enumerate(rows)}
             matrix = [[{}] * len(cols) for _ in rows]

@@ -5,6 +5,10 @@ of them is the resultant.  This route is independent of the complexes
 ``resultant_gcd`` builds, but it finishes only on small specs: with a square
 sigma_d it is one determinant, otherwise it needs a multivariate gcd of
 large minors.  The tests compare ``resultant_gcd`` with it where it does.
+
+``generic_sigma_cells`` is the symbolic sigma_d the same way, from
+``det_fraction_free`` on the generic morphism's ``Polynomial`` entries: the
+oracle of ``build_sigma``'s packed cells.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from detres.polyring import (
     NEG_INFINITY,
     PolyError,
     Polynomial,
+    VarSet,
     det_fraction_free,
     multivariate_gcd,
     normalize_gcd_style,
@@ -27,6 +32,7 @@ from detres.resultant_engine import (
     ResultantOutput,
     SigmaMatrix,
     _points,
+    GenericMorphism,
     _resultant_degree,
     build_sigma,
     generic_morphism,
@@ -35,6 +41,24 @@ from detres.resultant_engine import (
 
 #: Column shuffles tried per requested minor after the two scan orders.
 SHUFFLES_PER_MINOR = 4
+
+
+def generic_sigma_cells(sigma: SigmaMatrix, phi: GenericMorphism) -> tuple[tuple[Polynomial, ...], ...]:
+    """The entries of the symbolic sigma_d on ``sigma``'s rows and columns:
+    each Delta_{J,I} by ``det_fraction_free`` on phi's entries, split by its
+    monomial in x0..xN, and the part at x^e is the cell of row e + mu."""
+    nv, pv = len(phi.geo_names), VarSet(phi.param_names)
+    index = {e: r for r, e in enumerate(sigma.row_basis)}
+    cols = []
+    for J, I, mu in sigma.col_basis:
+        split: dict = {}
+        for e, c in det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms.items():
+            split.setdefault(e[:nv], {})[e[nv:]] = c
+        col = [Polynomial.zero(pv)] * len(index)
+        for e, terms in split.items():
+            col[index[tuple(a + b for a, b in zip(e, mu))]] = Polynomial(pv, terms)
+        cols.append(col)
+    return tuple(zip(*cols))
 
 
 def sigma_at(sigma: SigmaMatrix, point: Sequence[int]) -> list[list[int]]:

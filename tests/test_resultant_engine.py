@@ -12,6 +12,7 @@ from detres.polyring import (
     PolyError,
     Polynomial,
     VarSet,
+    _field_bits,
     monomials_of_degree,
     normalize_gcd_style,
     try_exact_div,
@@ -20,8 +21,10 @@ from detres.resultant_engine import (
     ConcreteMorphism,
     LascouxCaseError,
     _block_degrees,
+    _block_rows,
     _columns_at,
     _compatible_blocks,
+    _points,
     _sigma_columns,
     build_sigma,
     complex_strand,
@@ -39,11 +42,22 @@ from detres.resultant_engine import (
     vanish_test,
 )
 from detres.scroll_chow import ScrollSpec, chow_form, chow_generic_morphism, chow_problem
-from minors_oracle import candidate_column_sets, degrees, resultant_by_minors
+from minors_oracle import candidate_column_sets, degrees, generic_sigma_cells, resultant_by_minors
 
 
 def sylvester_spec(d1, d2):
     return ProblemSpec(2, 1, 0, (d1, d2), (0,))
+
+
+def column_polynomial(sigma, c):
+    """Re-expansion sum_rho entry(rho, c) * rho of a symbolic column, over
+    the geometric and parameter variables: by construction Delta_{J,I} * mu."""
+    full = VarSet(tuple(f"x{t}" for t in range(sigma.spec.N + 1)) + sigma.param_varset.names)
+    terms = Counter()
+    for rho, row in zip(sigma.row_basis, sigma.entries):
+        for pe, coeff in row[c].terms.items():
+            terms[rho + pe] += coeff
+    return Polynomial(full, terms)
 
 
 def laplace_det(matrix):
@@ -166,7 +180,7 @@ class TestBuildSigma:
                 mu_poly = Polynomial.monomial(
                     gen.varset, mu + (0,) * (len(gen.varset) - nv)
                 )
-                assert sigma.column_polynomial(c) == delta * mu_poly
+                assert column_polynomial(sigma, c) == delta * mu_poly
 
     def test_row_count(self):
         spec = sylvester_spec(2, 2)
@@ -977,7 +991,32 @@ LATER_BLOCK_CASES = [
 ]
 
 
+#: Every (spec, degree above nu) of ``COMPLEX_CASES`` and of the strand tests.
+BLOCK_ROW_INPUTS = list(
+    dict.fromkeys(
+        [(spec, extra) for spec, extra, _ in COMPLEX_CASES]
+        + [(spec, extra) for spec in STRAND_SPECS for extra in (0, 1, 2)]
+    )
+)
+
+
 class TestComplexRoute:
+    @pytest.mark.parametrize(
+        "spec, extra", BLOCK_ROW_INPUTS, ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra in BLOCK_ROW_INPUTS]
+    )
+    def test_block_rows_from_dims(self, spec, extra):
+        """The route sizes its fields from the strand dims before it chooses
+        the blocks: the row counts ``_block_rows`` derives from the dims are
+        those of the blocks ``_compatible_blocks`` then chooses."""
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        dims, maps = complex_strand(spec, d, phi)
+        ps = _field_bits(spec.r + 1)
+        columns = _sigma_columns(spec, d, phi, ps)[2]
+        chosen = (_compatible_blocks(columns, dims, maps, point, ps) for point in _points(phi))
+        blocks = next(filter(None, chosen))
+        assert [len(rows) for rows, _ in blocks] == _block_rows(dims)
+
     @pytest.mark.parametrize(
         "spec, extra, letters",
         COMPLEX_CASES,
@@ -1035,22 +1074,25 @@ class TestComplexRoute:
         """The degree bound that sizes the packed fields is at least the total
         degree of the product of the odd-p block determinants, the largest
         polynomial the route builds."""
-        bounds, chosen, dets = [], [], []
+        bounds, chosen, dets = {}, [], []
         field_bits = resultant_engine._field_bits
         compatible = resultant_engine._compatible_blocks
         det_packed = resultant_engine._det_packed
 
         def spy_bits(bound):
-            bounds.append(bound)
+            # keyed by the calling function, whatever the order of the calls
+            bounds.setdefault(sys._getframe(1).f_code.co_name, []).append(bound)
             return field_bits(bound)
 
         def spy_blocks(*args):
             chosen.append(compatible(*args))
             return chosen[-1]
 
-        def spy_det(matrix):
-            dets.append(det_packed(matrix))
-            return dets[-1]
+        def spy_det(matrix):  # the block determinants, not sigma's minors
+            out = det_packed(matrix)
+            if sys._getframe(1).f_code.co_name == "_resultant_by_complex":
+                dets.append(out)
+            return out
 
         monkeypatch.setattr(resultant_engine, "_field_bits", spy_bits)
         monkeypatch.setattr(resultant_engine, "_compatible_blocks", spy_blocks)
@@ -1058,9 +1100,10 @@ class TestComplexRoute:
         naming = letter_naming() if letters else None
         d = critical_degree(spec) + extra
         out = resultant_gcd(spec, d, naming=naming)
-        # _sigma_columns sizes its fields for x0..xN first, at d
-        sigma_bound, bound = bounds
-        assert sigma_bound == d
+        # _sigma_columns sizes its fields for x0..xN at d, and takes the
+        # parameter fields from the route
+        assert bounds.pop("_sigma_columns") == [d]
+        ((bound,),) = bounds.values()
         blocks = chosen[-1]
         assert len(blocks) > 1
         ps = [p for p, (rows, _) in enumerate(blocks, start=1) if rows]
@@ -1088,20 +1131,53 @@ class TestColumnsAt:
     def test_matches_evaluate(self, spec, extra):
         d = critical_degree(spec) + extra
         phi = generic_morphism(spec)
-        columns = _sigma_columns(spec, d, phi)[2]
         sigma = build_sigma(spec, d, phi)
         rng = random.Random(4242 + extra)
-        for _ in range(3):
-            point = [rng.randint(-9, 9) for _ in phi.param_names]
-            at = dict(zip(phi.param_names, point))
-            want = [tuple(cell.evaluate(at) for cell in row) for row in sigma.entries]
-            assert _columns_at(columns, point) == want
+        # build_sigma's fields, and the wider ones of a larger product
+        for ps in (_field_bits(spec.r + 1), 16):
+            columns = _sigma_columns(spec, d, phi, ps)[2]
+            for _ in range(3):
+                point = [rng.randint(-9, 9) for _ in phi.param_names]
+                at = dict(zip(phi.param_names, point))
+                want = [tuple(cell.evaluate(at) for cell in row) for row in sigma.entries]
+                assert _columns_at(columns, point, ps) == want
 
     def test_powers_and_shared_cells(self):
-        # generic minors are multilinear; the evaluation takes any exponent
-        cell = {(2, 0): 3, (0, 1): -1}
-        columns = [[cell, None], [{(1, 1): 2}, cell], [None, {(0, 0): 5}]]
-        assert _columns_at(columns, [2, -3]) == [(15, -12, 0), (0, 15, 5)]
+        # a parameter field reaches r + 1 (3 here) in 8-bit fields; the
+        # evaluation takes any exponent, and one {} is the zero cell of
+        # several columns
+        cell = polyring._pack({(3, 0): 3, (0, 1): -1}, 2, 8)
+        zero = {}
+        columns = [
+            [cell, zero],
+            [polyring._pack({(1, 2): 2}, 2, 8), cell],
+            [zero, polyring._pack({(0, 0): 5}, 2, 8)],
+            [zero, zero],
+        ]
+        assert _columns_at(columns, [2, -3], 8) == [(27, 36, 0, 0), (0, 27, 5, 0)]
+
+
+class TestGenericSigmaCells:
+    """``build_sigma``'s symbolic cells, unpacked from ``_sigma_columns``'
+    packed keys, against ``generic_sigma_cells``: ``det_fraction_free`` on the
+    generic entries, split by geometric monomial."""
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            generic_morphism(sylvester_spec(2, 3)),
+            generic_morphism(ProblemSpec(3, 1, 0, (1, 1, 2), (0,))),
+            generic_morphism(ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0))),
+            generic_morphism(LASCOUX),  # served by ``matrix`` only
+            chow_generic_morphism(ScrollSpec((1, 1))),  # letter names
+        ],
+        ids=["sylvester-23", "macaulay-310-d112", "principal-321-d112", "lascoux-331", "S11-letters"],
+    )
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_matches_det_fraction_free(self, phi, extra):
+        spec = phi.spec
+        sigma = build_sigma(spec, critical_degree(spec) + extra, phi)
+        assert sigma.entries == generic_sigma_cells(sigma, phi)
 
 
 def integer_values(gen, rng):
@@ -1164,9 +1240,11 @@ class TestNumericCayley:
         gen = generic_morphism(spec)
         got, maps = complex_strand(spec, nu + extra, gen)
         assert got == dims
-        columns = _sigma_columns(spec, nu + extra, gen)[2]
+        ps = _field_bits(spec.r + 1)
+        columns = _sigma_columns(spec, nu + extra, gen, ps)[2]
         rng = random.Random(0xCA7 + extra)
-        blocks = _compatible_blocks(columns, dims, maps, list(integer_values(gen, rng).values()))
+        point = list(integer_values(gen, rng).values())
+        blocks = _compatible_blocks(columns, dims, maps, point, ps)
         assert blocks is not None and len(blocks) == len(dims) - 1
         ratios = set()
         for _ in range(3):
@@ -1203,17 +1281,59 @@ def count_det_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def spy_route(monkeypatch) -> dict:
+    """Record, for each ``_det_packed`` and ``_pack`` call of
+    ``resultant_engine``, whether ``_sigma_columns`` had returned, and the
+    columns it returned."""
+    seen = {"columns": [], "dets": [], "packs": []}
+    det_packed, pack = resultant_engine._det_packed, resultant_engine._pack
+    sigma_columns = resultant_engine._sigma_columns
+
+    def columns(*args):
+        out = sigma_columns(*args)
+        seen["columns"].append(out[2])
+        return out
+
+    def det(matrix):
+        seen["dets"].append((bool(seen["columns"]), matrix))
+        return det_packed(matrix)
+
+    def packed(*args):
+        seen["packs"].append(bool(seen["columns"]))
+        return pack(*args)
+
+    monkeypatch.setattr(resultant_engine, "_sigma_columns", columns)
+    monkeypatch.setattr(resultant_engine, "_det_packed", det)
+    monkeypatch.setattr(resultant_engine, "_pack", packed)
+    return seen
+
+
 class TestDeterminantLayer:
-    """The traced ``chow`` and ``resultant`` benchmark runs in CI fail
-    unless ``polyring.det.calls`` > 0, and that counts the wrapped
-    ``det_fraction_free``: the sigma minors Delta_{J,I} of the generic
-    morphism must keep going through it, whatever computes the blocks."""
+    """The sigma minors Delta_{J,I} of the generic morphism are
+    ``_det_packed`` minors of its packed entries, one per (J, I), with no
+    ``det_fraction_free`` call; block 1 takes sigma_d's packed cells as they
+    are, with no ``_pack`` after ``_sigma_columns``."""
+
+    @staticmethod
+    def check(seen, spec, d):
+        (columns,) = seen["columns"]
+        deltas = [m for after, m in seen["dets"] if not after]
+        block1 = next(m for after, m in seen["dets"] if after)
+        assert not any(seen["packs"]), "_pack called after _sigma_columns"
+        cells = {id(cell) for col in columns for cell in col}
+        assert all(id(cell) in cells for row in block1 for cell in row)
+        assert all(len(m) == len(m[0]) == spec.r + 1 for m in deltas)
+        sigma = build_sigma(spec, d, generic_morphism(spec))
+        assert len(deltas) == len({(J, I) for J, I, _ in sigma.col_basis})
 
     def test_chow_form(self, monkeypatch):
         calls = count_det_calls(monkeypatch)
         refuse_gcd(monkeypatch)
+        seen = spy_route(monkeypatch)
         assert chow_form(ScrollSpec((2, 1))).confirmed
-        assert calls
+        assert not calls
+        spec = chow_problem(ScrollSpec((2, 1)))
+        self.check(seen, spec, critical_degree(spec))
 
     @pytest.mark.parametrize(
         "spec", [sylvester_spec(2, 3), ProblemSpec(3, 1, 0, (1, 1, 1), (0,))], ids=spec_id
@@ -1221,8 +1341,10 @@ class TestDeterminantLayer:
     def test_complex_route_resultant(self, monkeypatch, spec):
         calls = count_det_calls(monkeypatch)
         refuse_gcd(monkeypatch)
+        seen = spy_route(monkeypatch)
         assert resultant_gcd(spec, critical_degree(spec) + 1).confirmed
-        assert calls
+        assert not calls
+        self.check(seen, spec, critical_degree(spec) + 1)
 
 
 class TestOnePassDegrees:
