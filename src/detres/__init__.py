@@ -8,8 +8,7 @@ are looked up afresh on every access, never cached here.
 import importlib
 
 _EXPORTS = {
-    "polyring": "Polynomial VarSet det_fraction_free exact_div monomials_of_degree"
-    " multivariate_gcd",
+    "polyring": "Polynomial VarSet det_fraction_free monomials_of_degree multivariate_gcd",
     "chern_degree": "ProblemSpec critical_degree existence_check multidegree total_degree",
     "partition_schur": "complex_terms conc dual lemma510 schur_dim",
     "resultant_engine": "ConcreteMorphism GenericMorphism build_sigma generic_morphism"

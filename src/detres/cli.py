@@ -60,6 +60,13 @@ def _json_int(value) -> int:
 def _load_spec(path: str) -> ProblemSpec:
     data = _load_json(path)
     try:
+        if type(data) is not dict:
+            raise TypeError("a problem spec is an object with fields m, n, r, d and k")
+        for field in "mnrdk":
+            if field not in data:
+                raise ValueError(f"field {field} is missing")
+            if field in "dk" and type(data[field]) is not list:
+                raise TypeError(f"{field} must be a list of integers, not {json.dumps(data[field])}")
         return ProblemSpec(
             m=_json_int(data["m"]),
             n=_json_int(data["n"]),
@@ -67,7 +74,7 @@ def _load_spec(path: str) -> ProblemSpec:
             d=tuple(_json_int(x) for x in data["d"]),
             k=tuple(_json_int(x) for x in data["k"]),
         )
-    except (KeyError, TypeError, ValueError, ExistenceError) as exc:
+    except (TypeError, ValueError, ExistenceError) as exc:
         raise InputError(f"bad problem spec in {path}: {exc}") from exc
 
 

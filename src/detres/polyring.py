@@ -7,15 +7,16 @@ variable sets and term maps are equal.  All operations are pure; values are
 immutable after construction and safe to share between threads.
 
 ``Fraction`` appears only in ``Polynomial.terms``.  The determinant (a
-division-free memoized minor expansion), exact division and the gcd clear
-denominators once (by Gauss's lemma an exact division over Q is exact over
-Z once the divisor is primitive) and run on the integer kernel
-(``_det_packed``, ``_dict_mul``, ``_dict_try_div``, ``_normalize_int_dict``),
-whose term dicts are keyed by packed exponents: a monomial product is one
-int add.  With P variables, the top field of a packed exponent holds the
-total degree and the P fields below it the exponents of variables 0 (most
-significant) to P-1.  A field is w value bits under a guard bit that stays
-0; ``_field_bits`` takes w from a bound on every degree a computation
+division-free memoized minor expansion), the gcd and evaluation at an
+integer point clear denominators once (``_clear_denominators``, which
+``resultant_engine`` also applies to a concrete morphism's rows) and run on
+the integer kernel (``_det_packed``, ``_dict_mul``, ``_dict_try_div``,
+``_normalize_int_dict``), whose term dicts are keyed by packed exponents: a
+monomial product is one int add.  No public function divides polynomials.
+With P variables, the top field of a packed exponent holds the total degree
+and the P fields below it the exponents of variables 0 (most significant)
+to P-1.  A field is w value bits under a guard bit that stays 0;
+``_field_bits`` takes w from a bound on every degree a computation
 reaches, rounded up to whole bytes, and ``_unpack`` raises on a set guard
 bit.  Int order is graded-lex order, the leading term is ``max(p)``, and
 ``lead`` divides ``m`` exactly when ``((m | G) - lead) & G == G`` for the
@@ -371,40 +372,6 @@ def rational_from_json(c) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact division
-# ---------------------------------------------------------------------------
-
-
-def try_exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
-    """Return ``p / d`` when the division is exact, else ``None``.
-
-    Both sides are cleared of denominators and the divisor is made
-    primitive, so by Gauss's lemma the integer division is exact exactly
-    when the rational one is.
-    """
-    p._check_varset(d)
-    if d.is_zero():
-        raise PolyError("division by the zero polynomial")
-    if p.is_zero():
-        return Polynomial.zero(p.varset)
-    (P,), p_den = _clear_denominators(p.terms)
-    (D,), d_den = _clear_denominators(d.terms)
-    content = _int_content(D)
-    q = _div_tuples(P, {e: c // content for e, c in D.items()})
-    if q is None:
-        return None
-    scale = Fraction(d_den, p_den * content)
-    return Polynomial(p.varset, q if scale == 1 else _dict_scale(q, scale))
-
-
-def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    q = try_exact_div(p, d)
-    if q is None:
-        raise PolyError("division is not exact")
-    return q
-
-
-# ---------------------------------------------------------------------------
 # Division-free determinant (memoized minor expansion)
 # ---------------------------------------------------------------------------
 
@@ -460,15 +427,12 @@ def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
     return level.get((1 << len(m)) - 1, {})
 
 
-def _from_terms(varset: VarSet, terms: Mapping, den: int | None = 1) -> Polynomial:
+def _from_terms(varset: VarSet, terms: Mapping, den: int = 1) -> Polynomial:
     """The polynomial ``terms / den`` from a canonical term dict (exponent
     tuples of the varset's length, int or Fraction coefficients, none
-    zero), built without ``Polynomial``'s per-term checks.  With ``den``
-    None the coefficients are Fractions already, and ``terms`` is kept."""
+    zero), built without ``Polynomial``'s per-term checks."""
     p = Polynomial(varset, {})
-    if den is None:
-        canon = terms
-    elif den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
+    if den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
         canon = {e: Fraction(c) for e, c in terms.items()}
     else:
         canon = {e: Fraction(c, den) for e, c in terms.items()}

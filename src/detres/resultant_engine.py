@@ -37,6 +37,7 @@ are part of the output.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement
@@ -113,26 +114,15 @@ class GenericMorphism(NamedTuple):
     """The universal morphism with one parameter per entry coefficient.
 
     Entry (j, i) is the generic form of degree ``d_i - k_j`` in the
-    geometric variables, with a distinct parameter variable per monomial.
-    The shared varset lists the geometric variables first, then the
-    parameters in (column, row, monomial) order.
+    geometric variables, with a distinct parameter per monomial: the
+    coefficient of monomial ``e`` in entry (j, i) is the parameter
+    ``coeff_names[(j, i, e)]``.  The parameters are listed in (column, row,
+    monomial) order, the order of ``coeff_names``.
     """
 
     spec: ProblemSpec
-    varset: VarSet
-    geo_names: tuple[str, ...]
     param_names: tuple[str, ...]
     coeff_names: dict[tuple[int, int, Exponent], str]
-    param_column: dict[str, int]
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def entry(self, j: int, i: int) -> Polynomial:
-        """Matrix entry, rows and columns 1-based."""
-        return self.entries[j - 1][i - 1]
-
-    def block_names(self, i: int) -> tuple[str, ...]:
-        """Parameter names belonging to matrix column ``i``."""
-        return tuple(p for p in self.param_names if self.param_column[p] == i)
 
 
 def generic_morphism(
@@ -140,37 +130,20 @@ def generic_morphism(
     naming: Callable[[int, int, Exponent], str] | None = None,
 ) -> GenericMorphism:
     require_existence(spec)
-    geo = geometric_names(spec)
-    nv = len(geo)
+    nv = spec.N + 1
     if naming is None:
         naming = default_naming
     coeff_names: dict[tuple[int, int, Exponent], str] = {}
-    param_names: list[str] = []
-    param_column: dict[str, int] = {}
+    seen: set[str] = set()
     for i in range(1, spec.m + 1):
         for j in range(1, spec.n + 1):
-            deg = spec.d[i - 1] - spec.k[j - 1]
-            for exps in monomials_of_degree(nv, deg):
+            for exps in monomials_of_degree(nv, spec.d[i - 1] - spec.k[j - 1]):
                 name = naming(j, i, exps)
-                if name in param_column:
+                if name in seen:
                     raise PolyError(f"duplicate parameter name {name!r}")
+                seen.add(name)
                 coeff_names[(j, i, exps)] = name
-                param_names.append(name)
-                param_column[name] = i
-    varset = VarSet(geo + tuple(param_names))
-    one, zeros = Fraction(1), (0,) * len(param_names)
-    entries = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
-    for t, (j, i, exps) in enumerate(coeff_names):  # parameter t is the t-th name
-        entries[j - 1][i - 1][exps + zeros[:t] + (1,) + zeros[t + 1 :]] = one
-    return GenericMorphism(
-        spec=spec,
-        varset=varset,
-        geo_names=geo,
-        param_names=tuple(param_names),
-        coeff_names=coeff_names,
-        param_column=param_column,
-        entries=tuple(tuple(_from_terms(varset, t, None) for t in row) for row in entries),
-    )
+    return GenericMorphism(spec=spec, param_names=tuple(coeff_names.values()), coeff_names=coeff_names)
 
 
 class _ConcreteMorphism(NamedTuple):
@@ -245,16 +218,6 @@ def _by_name(p: Polynomial, varset: VarSet) -> Polynomial:
     return Polynomial(
         varset, {tuple(e[t] for t in perm): c for e, c in p.terms.items()}
     )
-
-
-def parameter_assignment(
-    generic: GenericMorphism, concrete: ConcreteMorphism
-) -> dict[str, Fraction]:
-    """Parameter values that specialize the generic morphism to ``concrete``."""
-    out: dict[str, Fraction] = {}
-    for (j, i, exps), name in generic.coeff_names.items():
-        out[name] = concrete.entry(j, i).terms.get(exps, Fraction(0))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +856,8 @@ def _resultant_by_complex(
         if res is None:
             raise PolyError("division is not exact")
     res = _normalize_int_dict(res)
-    degrees, total = _block_degrees(res, [len(phi.block_names(i)) for i in range(1, spec.m + 1)], s)
+    sizes = Counter(i for _, i, _ in phi.coeff_names)
+    degrees, total = _block_degrees(res, [sizes[i] for i in range(1, spec.m + 1)], s)
     return ResultantOutput(
         polynomial=_from_terms(VarSet(phi.param_names), _unpack(res, nparams, s)),
         block_degrees=tuple(degrees),

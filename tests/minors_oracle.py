@@ -7,13 +7,19 @@ sigma_d it is one determinant, otherwise it needs a multivariate gcd of
 large minors.  The tests compare ``resultant_gcd`` with it where it does.
 
 ``generic_sigma_cells`` is the symbolic sigma_d the same way, from
-``det_fraction_free`` on the generic morphism's ``Polynomial`` entries: the
-oracle of ``build_sigma``'s packed cells.
+``det_fraction_free`` on the generic morphism's entries as ``Polynomial``s
+(``generic_entries``): the oracle of ``build_sigma``'s packed cells.  The
+library keeps the generic morphism as its coefficient layout only, and
+divides only packed integer dicts; the entries, an exact division of
+``Polynomial``s (``try_exact_div``, ``exact_div``) and the parameter values
+of a concrete morphism (``parameter_assignment``) are built here, for the
+tests.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
@@ -23,12 +29,17 @@ from detres.polyring import (
     PolyError,
     Polynomial,
     VarSet,
+    _clear_denominators,
+    _dict_scale,
+    _div_tuples,
+    _int_content,
     det_fraction_free,
     multivariate_gcd,
     normalize_gcd_style,
 )
 from detres.resultant_engine import (
     _POINT_SEED,
+    ConcreteMorphism,
     ResultantOutput,
     SigmaMatrix,
     _points,
@@ -36,6 +47,7 @@ from detres.resultant_engine import (
     _resultant_degree,
     build_sigma,
     generic_morphism,
+    geometric_names,
     row_echelon,
 )
 
@@ -43,16 +55,74 @@ from detres.resultant_engine import (
 SHUFFLES_PER_MINOR = 4
 
 
+def generic_entries(phi: GenericMorphism) -> list[list[Polynomial]]:
+    """The generic morphism's matrix, rows of ``Polynomial`` entries over
+    x0..xN followed by the parameters: entry (j, i) is the sum of
+    ``coeff_names[(j, i, e)] * x^e``."""
+    spec = phi.spec
+    geo = geometric_names(spec)
+    varset = VarSet(geo + phi.param_names)
+    terms: list[list[dict]] = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
+    for t, (j, i, e) in enumerate(phi.coeff_names):  # parameter t is the t-th name
+        unit = [0] * len(phi.param_names)
+        unit[t] = 1
+        terms[j - 1][i - 1][e + tuple(unit)] = 1
+    return [[Polynomial(varset, entry) for entry in row] for row in terms]
+
+
+def block_names(phi: GenericMorphism, i: int) -> tuple[str, ...]:
+    """Names of the parameters of matrix column ``i``."""
+    return tuple(name for (_, col, _), name in phi.coeff_names.items() if col == i)
+
+
+def parameter_assignment(generic: GenericMorphism, concrete: ConcreteMorphism) -> dict[str, Fraction]:
+    """Parameter values that specialize the generic morphism to ``concrete``."""
+    return {
+        name: concrete.entry(j, i).terms.get(e, Fraction(0))
+        for (j, i, e), name in generic.coeff_names.items()
+    }
+
+
+def try_exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
+    """``p / d`` when the division is exact, else None.
+
+    Both sides are cleared of denominators and the divisor is made
+    primitive, so by Gauss's lemma the integer division is exact exactly
+    when the rational one is.
+    """
+    p._check_varset(d)
+    if d.is_zero():
+        raise PolyError("division by the zero polynomial")
+    if p.is_zero():
+        return Polynomial.zero(p.varset)
+    (P,), p_den = _clear_denominators(p.terms)
+    (D,), d_den = _clear_denominators(d.terms)
+    content = _int_content(D)
+    q = _div_tuples(P, {e: c // content for e, c in D.items()})
+    if q is None:
+        return None
+    scale = Fraction(d_den, p_den * content)
+    return Polynomial(p.varset, q if scale == 1 else _dict_scale(q, scale))
+
+
+def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
+    q = try_exact_div(p, d)
+    if q is None:
+        raise PolyError("division is not exact")
+    return q
+
+
 def generic_sigma_cells(sigma: SigmaMatrix, phi: GenericMorphism) -> tuple[tuple[Polynomial, ...], ...]:
     """The entries of the symbolic sigma_d on ``sigma``'s rows and columns:
     each Delta_{J,I} by ``det_fraction_free`` on phi's entries, split by its
     monomial in x0..xN, and the part at x^e is the cell of row e + mu."""
-    nv, pv = len(phi.geo_names), VarSet(phi.param_names)
+    nv, pv = phi.spec.N + 1, VarSet(phi.param_names)
+    entries = generic_entries(phi)
     index = {e: r for r, e in enumerate(sigma.row_basis)}
     cols = []
     for J, I, mu in sigma.col_basis:
         split: dict = {}
-        for e, c in det_fraction_free([[phi.entry(j, i) for i in I] for j in J]).terms.items():
+        for e, c in det_fraction_free([[entries[j - 1][i - 1] for i in I] for j in J]).terms.items():
             split.setdefault(e[:nv], {})[e[nv:]] = c
         col = [Polynomial.zero(pv)] * len(index)
         for e, terms in split.items():
@@ -166,7 +236,7 @@ def resultant_by_minors(
             break
 
     assert current is not None
-    blocks, total = degrees(current, [len(phi.block_names(i)) for i in range(1, spec.m + 1)])
+    blocks, total = degrees(current, [len(block_names(phi, i)) for i in range(1, spec.m + 1)])
     return ResultantOutput(
         polynomial=current,
         block_degrees=tuple(int(b) for b in blocks),

@@ -20,7 +20,6 @@ from detres.polyring import (
     monomials_of_degree,
     multivariate_gcd,
     normalize_gcd_style,
-    try_exact_div,
 )
 from detres.resultant_engine import (
     build_sigma,
@@ -41,6 +40,7 @@ from detres.scroll_chow import (
     plane_meets_scroll,
     scroll_equations,
 )
+from minors_oracle import try_exact_div
 
 
 def verdict(num, ok, detail, t0):

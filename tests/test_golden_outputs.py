@@ -1,0 +1,113 @@
+"""Golden digests of the command-line outputs.
+
+Each case runs ``cli.main`` in-process, once in text mode and once with
+``--json``, and compares the exit code and the sha256 of stdout with the
+values recorded in ``GOLDEN``.  Outputs are byte-deterministic, so any
+change to a byte of them, including the order of terms, rows or columns,
+shows here; a change that alters an output on purpose records its new
+digest.  CI also runs this module under two values of ``PYTHONHASHSEED``,
+so that no output order can come from string hashing.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from detres.cli import main
+
+SPECS = {
+    "sylvester": {"m": 2, "n": 1, "r": 0, "d": [2, 3], "k": [0]},
+    "syl11": {"m": 2, "n": 1, "r": 0, "d": [1, 1], "k": [0]},
+    "syl12": {"m": 2, "n": 1, "r": 0, "d": [1, 2], "k": [0]},
+    "macaulay": {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]},
+    "lascoux": {"m": 3, "n": 3, "r": 1, "d": [1, 1, 1], "k": [0, 0, 0]},
+}
+
+
+def form(terms):
+    """A form in x0, x1 from (coefficient, exponent) pairs."""
+    return {"vars": ["x0", "x1"], "terms": [{"c": c, "e": e} for c, e in terms]}
+
+
+FILES = {
+    # (x0, x1): no common zero
+    "phi-apart": [[form([("1", [1, 0])]), form([("1", [0, 1])])]],
+    # (x0, 2 x0): both vanish at (0 : 1)
+    "phi-meet": [[form([("1", [1, 0])]), form([("2", [1, 0])])]],
+    # (x0 + 1/2 x1, x0^2 - 3 x1^2): rational coefficients in sigma
+    "phi-fractions": [
+        [
+            form([("1", [1, 0]), ("1/2", [0, 1])]),
+            form([("1", [2, 0]), ("-3", [0, 2])]),
+        ]
+    ],
+    # meets S(2,1)
+    "plane": [["1", "-1", "0", "0", "0"], ["0", "1", "-1", "0", "0"], ["0", "0", "0", "1", "-1"]],
+}
+
+#: Each case: the argument list, with "spec:NAME" and "file:NAME" standing
+#: for the path of a file written from ``SPECS`` or ``FILES``.
+CASES = {
+    "degree": ["degree", "--spec", "spec:sylvester"],
+    "matrix-generic": ["matrix", "--spec", "spec:sylvester"],
+    "matrix-phi": ["matrix", "--spec", "spec:syl12", "--phi", "file:phi-fractions"],
+    "resultant-sylvester": ["resultant", "--spec", "spec:sylvester"],
+    "resultant-macaulay-above-nu": ["resultant", "--spec", "spec:macaulay", "--degree", "2"],
+    "test-vanishes": ["test", "--spec", "spec:syl11", "--phi", "file:phi-meet"],
+    "test-nonvanishing": ["test", "--spec", "spec:syl11", "--phi", "file:phi-apart"],
+    "chow": ["chow", "--scroll", "2,1"],
+    "chow-matrix-only": ["chow", "--scroll", "2,1", "--matrix-only"],
+    "chow-test": ["chow-test", "--scroll", "2,1", "--plane", "file:plane"],
+    "complex": ["complex", "--spec", "spec:lascoux"],
+}
+
+#: "<exit code> <sha256 of stdout>" per case and mode.
+GOLDEN = {
+    "degree text": "0 66e49a4406fe1b2fe22c67b5e80df11167229028d190d546cbe326f6ce3bffbb",
+    "degree json": "0 ec185e43fe53d9583b25cc6ef350a5b0a76b31316fe2e137b5a5489d1bbb22c1",
+    "matrix-generic text": "0 adb6f386a6b45bc15614a6dd668d9ca54e9364342591f90273b25f231f34e850",
+    "matrix-generic json": "0 bf923066fc7513c6dc6cae7a97451b0fae04b318181121fb89f63c8be86564e8",
+    "matrix-phi text": "0 59fcd01b3513f12def184194de055874ff080f3672081b3b3905fe6878830d3d",
+    "matrix-phi json": "0 c7d49f182fb973d923c5e9a5a5a6551e8e566f5ce763587537a79c09189eee40",
+    "resultant-sylvester text": "0 cda5d8a0337e1a38854222e8f491b02ed41c9aabba53ef0788bc1868bcf112ca",
+    "resultant-sylvester json": "0 e4164f101765b53816ab5c96e51577555ac2e2fadffbdfee33f7871f9cd56e4b",
+    "resultant-macaulay-above-nu text": "0 d3cd791da58a9e99c4db21e7604c85c7da785746ac270cd12a066fa6534f3717",
+    "resultant-macaulay-above-nu json": "0 aec8425b6acbacd760f1259a252d6724b0141554d6eda4fc8779ac9f415ec891",
+    "test-vanishes text": "10 a6c96878f75b2a4fd168ca8c8cf6a32675f748ce0c2ccfbaaf6ece10bed1c7c6",
+    "test-vanishes json": "10 8445b5913bf00294fcb41388d4eddf388ef2305d1e1eb00a689456e9f113ef38",
+    "test-nonvanishing text": "0 784a08c159ca623a36191876ca319de3cd47898d09fb8d6b5aeee416ec551512",
+    "test-nonvanishing json": "0 c6b46dc47d9cb315616bea1f3d3319a81ea9acf6d25dff462092df12a3a7158c",
+    "chow text": "0 514242642c0c7612563a9ffe67dff96c2167527d00ab4307c9c9628c7bc51a44",
+    "chow json": "0 e854eb8d546ef06fa99acfaafb550309b86219a8278f628d1c4026822a35552d",
+    "chow-matrix-only text": "0 847eb7e4b24d9c17bf57f1806e158f64012914a75da4e1a2913afa9a796c5360",
+    "chow-matrix-only json": "0 4a39516577b41562d6f769ef6a540f6081ed8768c259a3f00e84f325d14f63c5",
+    "chow-test text": "10 21782e08293c55c40fa76a16cb99821c822c610f32fa29637a95747cb596f472",
+    "chow-test json": "10 64da7674d9dd516c956570d5f9274bb10da34826ebafdf877e89a66cdfb6edad",
+    "complex text": "0 3a6949a92075cfa6216237d0d93b6f6a75de7feabc2fa560872eee5e3e6af2e2",
+    "complex json": "0 de04ab001c9a2bd0516d3ee9d15c1b9e601b674fcc0fc3fc2c55b9424e7e499e",
+}
+
+
+def run(argv, tmp_path, capsys) -> str:
+    """``main`` on ``argv`` with its file arguments written under ``tmp_path``:
+    the exit code and the sha256 of what it printed."""
+    resolved = []
+    for arg in argv:
+        kind, _, name = arg.partition(":")
+        if kind in ("spec", "file") and name:
+            path = tmp_path / f"{kind}-{name}.json"
+            path.write_text(json.dumps((SPECS if kind == "spec" else FILES)[name]))
+            arg = str(path)
+        resolved.append(arg)
+    capsys.readouterr()
+    code = main(resolved)
+    out = capsys.readouterr().out
+    return f"{code} {hashlib.sha256(out.encode()).hexdigest()}"
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_output_digest(case, mode, tmp_path, capsys):
+    argv = CASES[case] + (["--json"] if mode == "json" else [])
+    assert run(argv, tmp_path, capsys) == GOLDEN[f"{case} {mode}"]

@@ -58,7 +58,7 @@ class TestNamedTupleRecords:
     def test_hash_is_that_of_the_field_tuple(self, record):
         values = tuple(getattr(record, f) for f in record._fields)
         if type(record).__name__ == "GenericMorphism":
-            # its name maps are dicts, so it was never hashable
+            # its coeff_names is a dict, so it was never hashable
             with pytest.raises(TypeError):
                 hash(record)
         else:

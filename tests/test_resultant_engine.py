@@ -15,7 +15,6 @@ from detres.polyring import (
     _field_bits,
     monomials_of_degree,
     normalize_gcd_style,
-    try_exact_div,
 )
 from detres.resultant_engine import (
     ConcreteMorphism,
@@ -30,9 +29,10 @@ from detres.resultant_engine import (
     complex_strand,
     concrete_morphism,
     critical_degree,
+    default_naming,
     generic_morphism,
+    geometric_names,
     letter_naming,
-    parameter_assignment,
     rational_det,
     rational_rank,
     resultant_gcd,
@@ -42,7 +42,16 @@ from detres.resultant_engine import (
     vanish_test,
 )
 from detres.scroll_chow import ScrollSpec, chow_form, chow_generic_morphism, chow_problem
-from minors_oracle import candidate_column_sets, degrees, generic_sigma_cells, resultant_by_minors
+from minors_oracle import (
+    block_names,
+    candidate_column_sets,
+    degrees,
+    generic_entries,
+    generic_sigma_cells,
+    parameter_assignment,
+    resultant_by_minors,
+    try_exact_div,
+)
 
 
 def sylvester_spec(d1, d2):
@@ -172,14 +181,12 @@ class TestBuildSigma:
             gen = generic_morphism(spec)
             d = critical_degree(spec)
             sigma = build_sigma(spec, d, gen)
-            geo = gen.geo_names
-            nv = len(geo)
+            entries = generic_entries(gen)
+            varset = entries[0][0].varset
             for c, (J, I, mu) in enumerate(sigma.col_basis):
-                sub = [[gen.entry(j, i) for i in I] for j in J]
+                sub = [[entries[j - 1][i - 1] for i in I] for j in J]
                 delta = laplace_det(sub)
-                mu_poly = Polynomial.monomial(
-                    gen.varset, mu + (0,) * (len(gen.varset) - nv)
-                )
+                mu_poly = Polynomial.monomial(varset, mu + (0,) * len(gen.param_names))
                 assert column_polynomial(sigma, c) == delta * mu_poly
 
     def test_row_count(self):
@@ -1180,6 +1187,42 @@ class TestGenericSigmaCells:
         assert sigma.entries == generic_sigma_cells(sigma, phi)
 
 
+class TestGenericMorphism:
+    """The generic morphism is its coefficient layout: parameter names by
+    (row, column, monomial), in (column, row, monomial) order."""
+
+    PRINCIPAL = ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0))
+
+    @pytest.mark.parametrize("letters", [False, True], ids=["default", "letters"])
+    def test_builds_no_polynomial(self, letters):
+        constructors = {Polynomial.__init__.__code__, VarSet.__init__.__code__, Fraction.__new__.__code__}
+        made = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code in constructors:
+                made.append(frame.f_code.co_name)
+
+        sys.setprofile(watch)
+        try:
+            phi = generic_morphism(self.PRINCIPAL, letter_naming() if letters else None)
+        finally:
+            sys.setprofile(None)
+        assert made == []
+        assert len(phi.param_names) == len(phi.coeff_names) == 2 * (2 + 2 + 3)
+
+    def test_parameter_order(self):
+        phi = generic_morphism(self.PRINCIPAL)
+        assert phi.param_names == tuple(phi.coeff_names.values())
+        keys = list(phi.coeff_names)
+        assert keys == sorted(keys, key=lambda key: (key[1], key[0]))
+        assert phi.param_names[:5] == ("c_1_1_1_0", "c_1_1_0_1", "c_2_1_1_0", "c_2_1_0_1", "c_1_2_1_0")
+        assert phi.coeff_names[(2, 3, (1, 1))] == "c_2_3_1_1"
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(PolyError, match=r"^duplicate parameter name 'p'$"):
+            generic_morphism(self.PRINCIPAL, lambda j, i, exps: "p" if i == 2 else default_naming(j, i, exps))
+
+
 def integer_values(gen, rng):
     """Seeded integer values of the generic morphism's parameters, nonzero
     and from a wide range: the entries of a later block are +-one parameter,
@@ -1190,7 +1233,7 @@ def integer_values(gen, rng):
 def morphism_at(gen, values):
     """The concrete morphism whose coefficients are ``values``, by name."""
     spec = gen.spec
-    varset = VarSet(gen.geo_names)
+    varset = VarSet(geometric_names(spec))
     terms = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
     for (j, i, exps), name in gen.coeff_names.items():
         terms[j - 1][i - 1][exps] = Fraction(values[name])
@@ -1374,12 +1417,12 @@ class TestOnePassDegrees:
 
     @staticmethod
     def expected(poly, phi):
-        blocks = [poly.degree_in(phi.block_names(i)) for i in range(1, phi.spec.m + 1)]
+        blocks = [poly.degree_in(block_names(phi, i)) for i in range(1, phi.spec.m + 1)]
         return blocks, poly.degree
 
     @staticmethod
     def sizes(phi):
-        return [len(phi.block_names(i)) for i in range(1, phi.spec.m + 1)]
+        return [len(block_names(phi, i)) for i in range(1, phi.spec.m + 1)]
 
     @PHIS
     def test_matches_degree_in(self, phi):

@@ -10,7 +10,6 @@ from detres.resultant_engine import (
     build_sigma,
     critical_degree,
     letter_naming,
-    parameter_assignment,
 )
 from detres.scroll_chow import (
     PlaneStiefel,
@@ -26,7 +25,7 @@ from detres.scroll_chow import (
     scroll_equations,
     scroll_matrix,
 )
-from minors_oracle import resultant_by_minors
+from minors_oracle import generic_entries, parameter_assignment, resultant_by_minors
 
 
 def substitute(poly, mapping):
@@ -243,8 +242,9 @@ class TestChowProblem:
     def test_generic_map_entry_degrees(self):
         gen = chow_generic_morphism(ScrollSpec((2, 1)))
         # quadratic first row, linear second row
-        assert all(gen.entry(1, i).degree_in(("x0", "x1")) == 2 for i in (1, 2, 3))
-        assert all(gen.entry(2, i).degree_in(("x0", "x1")) == 1 for i in (1, 2, 3))
+        entries = generic_entries(gen)
+        assert all(entries[0][i].degree_in(("x0", "x1")) == 2 for i in range(3))
+        assert all(entries[1][i].degree_in(("x0", "x1")) == 1 for i in range(3))
 
     def test_total_degree_per_block(self):
         from detres.chern_degree import multidegree
