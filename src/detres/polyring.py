@@ -8,8 +8,8 @@ immutable after construction and safe to share between threads.
 
 ``Fraction`` appears only in ``Polynomial.terms``.  The determinant (a
 division-free memoized minor expansion), the gcd and evaluation at an
-integer point clear denominators once (``_clear_denominators``, which
-``resultant_engine`` also applies to a concrete morphism's rows) and run on
+integer point clear all denominators by one lcm (``_clear_denominators``,
+which ``resultant_engine`` also applies to a concrete morphism) and run on
 the integer kernel (``_det_packed``, ``_dict_mul``, ``_dict_try_div``,
 ``_normalize_int_dict``), whose term dicts are keyed by packed exponents: a
 monomial product is one int add.  No public function divides polynomials.
@@ -106,21 +106,21 @@ def glex_key(exps: Exponent) -> tuple[int, Exponent]:
 def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
     """All exponent tuples of total degree ``d`` in ``nvars`` variables.
 
-    Returned in graded-lex descending order (so ``x**d`` first); the count is
-    ``binomial(d + nvars - 1, nvars - 1)``.
+    The count is ``binomial(d + nvars - 1, nvars - 1)``.  The variables of
+    the d unit increments come in lexicographic order, so the tuples come
+    lex-descending, which at one degree is graded-lex descending (``x**d``
+    first).
     """
     if nvars < 1:
         raise PolyError("nvars must be >= 1")
     if d < 0:
         raise PolyError("degree must be >= 0")
     out = []
-    # Choose positions of the d unit increments among the variables.
     for combo in combinations_with_replacement(range(nvars), d):
         e = [0] * nvars
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    out.sort(key=glex_key, reverse=True)
     return out
 
 
@@ -379,15 +379,14 @@ def rational_from_json(c) -> Fraction:
 def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix by memoized minor expansion.
 
-    A 1x1 matrix gives its entry.  Else each row is scaled by the lcm of its
-    denominators, and the integer determinant is built from its minors one
-    row at a time, every minor computed once per column set (Gentleman &
-    Johnson, ACM TOMS 2(3), 1976; see ``_det_packed``): only ring
-    operations, no division, and zero entries and zero minors are skipped.
-    The result is divided by the product of the row lcms once at the end;
-    it is identical to cofactor expansion.  The expansion runs on packed
-    exponents, with fields for degrees up to n times the largest entry
-    degree.
+    A 1x1 matrix gives its entry.  Else the matrix is scaled by the lcm L of
+    all its denominators, and the integer determinant is built from its
+    minors one row at a time, every minor computed once per column set
+    (Gentleman & Johnson, ACM TOMS 2(3), 1976; see ``_det_packed``): only
+    ring operations, no division, and zero entries and zero minors are
+    skipped.  The result is divided by L^n once at the end; it is identical
+    to cofactor expansion.  The expansion runs on packed exponents, with
+    fields for degrees up to n times the largest entry degree.
     """
     n = len(matrix)
     if n == 0:
@@ -396,11 +395,11 @@ def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
         raise PolyError("matrix is not square")
     if n == 1:
         return matrix[0][0]
-    rows = [_clear_denominators(*[entry.terms for entry in row]) for row in matrix]
+    ints, den = _clear_denominators(*[entry.terms for row in matrix for entry in row])
     nv = len(matrix[0][0].varset)
-    s = _field_bits(n * max([sum(e) for int_row, _ in rows for t in int_row for e in t], default=0))
-    det = _det_packed([[_pack(t, nv, s) for t in int_row] for int_row, _ in rows])
-    return _from_terms(matrix[0][0].varset, _unpack(det, nv, s), math.prod(d for _, d in rows))
+    s = _field_bits(n * max([sum(e) for t in ints for e in t], default=0))
+    det = _det_packed([[_pack(t, nv, s) for t in ints[r : r + n]] for r in range(0, n * n, n)])
+    return _from_terms(matrix[0][0].varset, _unpack(det, nv, s), den**n)
 
 
 def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:

@@ -21,17 +21,18 @@ of the block determinants; only the resultant becomes a ``Polynomial``
 again.  For 0 < r < n - 1 the complex is Lascoux's, which is not built
 here: ``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
 
-The rank test stays on integers: each row of a concrete morphism is cleared
-of denominators and packed once, every Delta_{J,I} is an integer minor, and
-``rational_rank`` takes the rank of the resulting columns, each the true
-column times a nonzero constant (``build_sigma`` divides by those
-constants).  That rank is taken modulo p = 2^61 - 1 on rows packed into one
-int each and certified exactly by one of three paths: full row rank modulo p
-is full rank over Q; a rank drop is confirmed by kernel vectors lifted from
-the residues and checked over Z; anything else falls back to ``row_echelon``
-(Bareiss elimination that rescales a row only when it next uses it), which
-also serves ``rational_det`` and the choice of blocks, whose pivot columns
-are part of the output.
+The rank test stays on integers: a concrete morphism is cleared of
+denominators by one lcm L and packed once, every Delta_{J,I} is an integer
+minor, and ``rational_rank`` takes the rank of the resulting columns, the
+true ones times L^(r+1) (``build_sigma`` divides by it).  That rank is taken
+modulo p = 2^61 - 1 on rows packed into one int each and certified exactly
+by one of three paths: full row rank modulo p is full rank over Q; a rank
+drop is confirmed by kernel vectors lifted from the residues and checked
+over Z; anything else falls back to ``row_echelon`` (Bareiss elimination
+that rescales a row only when it next uses it).  ``row_echelon`` also gives
+``rational_det`` its determinant and the choice of blocks its pivot
+columns, which are part of the output.  Every rational matrix is cleared by
+one lcm of all its denominators, never row by row.
 """
 
 from __future__ import annotations
@@ -261,29 +262,30 @@ def build_sigma(
     phi: GenericMorphism | ConcreteMorphism,
 ) -> SigmaMatrix:
     ps = _field_bits(spec.r + 1)
-    row_basis, col_basis, columns, omitted = _sigma_columns(spec, d, phi, ps)
+    row_basis, col_basis, columns, omitted, scale = _sigma_columns(spec, d, phi, ps)
     pv = VarSet(phi.param_names) if isinstance(phi, GenericMorphism) else None
     if pv is not None:
         zero = Polynomial.zero(pv)
         cells = [[_from_terms(pv, _unpack(v, len(pv), ps)) if v else zero for v in col] for col in columns]
     else:
-        cells = [[Fraction(v, scale) for v in col] for col, scale in columns]
+        cells = [[Fraction(v, scale) for v in col] for col in columns]
     entries = tuple(zip(*cells)) or ((),) * len(row_basis)
     return SigmaMatrix(spec, d, row_basis, col_basis, entries, pv is not None, pv, omitted)
 
 
 def _sigma_columns(
     spec: ProblemSpec, d: int, phi: GenericMorphism | ConcreteMorphism, ps: int | None = None
-) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int]:
-    """The layout of sigma_d: row basis, column keys, columns and the count
-    of omitted column groups.  phi's entries are packed once, and each
-    Delta_{J,I} is a ``_det_packed`` minor of them, scattered into rows.  A
-    generic column lists per row a packed term dict over the parameters in
-    nparams + 1 fields of ``ps`` bits (given for a generic phi), as block 1
-    of ``_resultant_by_complex`` takes it: one {} for its zero cells, the
-    cells of a Delta_{J,I} shared by its columns.  A concrete column is a
-    pair (integer cells, scale): phi's rows are cleared of denominators, and
-    the column is the true one times ``scale``, the row scales' product."""
+) -> tuple[tuple[Exponent, ...], tuple[ColKey, ...], list, int, int]:
+    """The layout of sigma_d: row basis, column keys, columns, the count of
+    omitted column groups and the scale of the columns.  phi's entries are
+    packed once, and each Delta_{J,I} is a ``_det_packed`` minor of them,
+    scattered into rows.  A generic column lists per row a packed term dict
+    over the parameters in nparams + 1 fields of ``ps`` bits (given for a
+    generic phi), as block 1 of ``_resultant_by_complex`` takes it: one {}
+    for its zero cells, the cells of a Delta_{J,I} shared by its columns;
+    its scale is 1.  A concrete column lists integer cells: phi's entries
+    are cleared of denominators by one lcm L, so every column is the true
+    one times the scale L^(r+1)."""
     require_existence(spec)
     if phi.spec != spec:
         raise PolyError("morphism spec does not match")
@@ -305,11 +307,12 @@ def _sigma_columns(
         packed = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
         for t, (j, i, e) in enumerate(phi.coeff_names):  # parameter t is the t-th name
             packed[j - 1][i - 1][geo[e] << low | 1 << nparams * ps | 1 << (nparams - 1 - t) * ps] = 1
+        scale = 1
     else:
-        cleared = [_clear_denominators(*[p.terms for p in row]) for row in phi.entries]
-        top = max([sum(e) for row, _ in cleared for t in row for e in t], default=0)
+        cleared, scale = _clear_denominators(*[p.terms for row in phi.entries for p in row])
+        top = max([sum(e) for t in cleared for e in t], default=0)
         s = _field_bits(max(d, (spec.r + 1) * top))
-        packed = [[_pack(t, nv, s) for t in row] for row, _ in cleared]
+        packed = [[_pack(t, nv, s) for t in cleared[j : j + spec.m]] for j in range(0, len(cleared), spec.m)]
     zero = {} if symbolic else 0
     row_index = _pack({e: r for r, e in enumerate(row_basis)}, nv, s)
     keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
@@ -328,15 +331,13 @@ def _sigma_columns(
                 for key, c in delta.items():
                     cells.setdefault(key >> low, {})[key & (1 << low) - 1] = c
                 delta = cells
-            else:
-                scale = prod(cleared[j - 1][1] for j in J)
             for mu, key in zip(monomials(mu_deg), keys(mu_deg)):
                 col = [zero] * len(row_basis)
                 for e, c in delta.items():
                     col[row_index[e + key]] = c
                 col_basis.append((J, I, mu))
-                columns.append(col if symbolic else (col, scale))
-    return row_basis, tuple(col_basis), columns, omitted
+                columns.append(col)
+    return row_basis, tuple(col_basis), columns, omitted, scale ** (spec.r + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,32 +345,26 @@ def _sigma_columns(
 # ---------------------------------------------------------------------------
 
 
-def _integer_rows(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """Each row scaled by the lcm of its denominators, and those scales (an
-    all-int matrix is taken as it is)."""
-    ints = set(map(type, chain.from_iterable(matrix))) <= {int}
-    dens = [1 if ints else lcm(*[v.denominator for v in row]) for row in matrix]
-    m = [
-        list(row) if ints else [v.numerator * (den // v.denominator) for v in row]
-        for row, den in zip(matrix, dens)
-    ]
-    return m, dens
+def _integer_rows(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
+    """The matrix times the lcm of all its denominators, and that lcm (an
+    all-int matrix is copied as it is, with 1)."""
+    if set(map(type, chain.from_iterable(matrix))) <= {int}:
+        return [list(row) for row in matrix], 1
+    den = lcm(*[v.denominator for row in matrix for v in row])
+    return [[v.numerator * (den // v.denominator) for v in row] for row in matrix], den
 
 
-def row_echelon(
-    matrix: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[int], list[Fraction], int]:
-    """Exact rank by fraction-free elimination over Z.
+def row_echelon(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[int], Fraction]:
+    """Pivot columns and determinant by fraction-free elimination over Z.
 
-    Each row is scaled once by the lcm of its denominators (an all-int
-    matrix is taken as it is); forward Bareiss elimination then runs on
-    integers.  Returns the pivot columns
-    (ascending: the lexicographically first maximal independent column
-    set), the pivot entries of Gaussian elimination on the rational matrix
-    and the row-swap sign.  The k-th pivot entry is ``M_k / (M_{k-1} *
-    den)``, with ``M_k`` the leading k x k minor of the scaled, row-swapped
-    matrix on the pivot columns and ``den`` the scale of the pivot row.
-    Elimination stops once the rank reaches the row count.
+    The matrix is scaled once by the lcm L of all its denominators (an
+    all-int matrix is taken as it is); forward Bareiss elimination then runs
+    on integers.  Returns the pivot columns (ascending: the
+    lexicographically first maximal independent column set) and, at full
+    row rank, the determinant of the rows on the pivot columns: the row-swap
+    sign times the last pivot ``M_k``, the k x k minor of the scaled,
+    row-swapped matrix on those columns, divided by L^k; below full row
+    rank, 0.  Elimination stops once the rank reaches the row count.
 
     Step k replaces each row below the pivot by ``(M_k * row - f * top) /
     M_{k-1}``, ``f`` being its entry in the pivot column.  For f = 0 that
@@ -379,12 +374,11 @@ def row_echelon(
     ``M_{k-1} / level[r]``.  So an update divides by ``level[r]``, and a new
     pivot row is first multiplied by ``M_{k-1} // level[r]``, both exactly.
     """
-    m, dens = _integer_rows(matrix)
+    m, scale = _integer_rows(matrix)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     level = [1] * rows
     pivots: list[int] = []
-    values: list[Fraction] = []
     sign = 1
     rank = 0
     prev = 1
@@ -394,7 +388,6 @@ def row_echelon(
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
-            dens[rank], dens[pivot] = dens[pivot], dens[rank]
             level[rank], level[pivot] = level[pivot], level[rank]
             sign = -sign
         top = m[rank][c:]
@@ -409,12 +402,11 @@ def row_echelon(
                 row[c:] = [(pv * a - f * b) // lv for a, b in zip(row[c:], top)]
                 level[r] = pv
         pivots.append(c)
-        values.append(Fraction(pv, prev * dens[rank]))
         prev = pv
         rank += 1
         if rank == rows:
             break
-    return pivots, values, sign
+    return pivots, Fraction(sign * prev, scale**rows) if rank == rows else Fraction(0)
 
 
 #: The Mersenne prime of the certified rank: as 2^61 = 1 (mod p), a field is
@@ -429,8 +421,8 @@ _LIFT_BOUND = isqrt(_MERSENNE // 2)
 def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
     """Exact rank of a rational matrix, certified modulo p = 2^61 - 1.
 
-    Each row is cleared of denominators (which keeps the rank), reduced
-    modulo p and followed by an identity block that records the row
+    The matrix is cleared of denominators (which keeps the rank), each row
+    reduced modulo p and followed by an identity block that records the row
     operations; Gaussian elimination modulo p then runs on whole rows packed
     into one int each (see ``_rank_mod_p``).  The rank modulo p never exceeds
     the rank over Q, and the result is exact by one of three paths:
@@ -445,7 +437,7 @@ def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
       above by the rank modulo p, which bounds it from below;
     - otherwise (an unlucky prime, whose rank is below the rank over Q, or a
       kernel vector whose entries are too large to reconstruct),
-      ``row_echelon``'s exact elimination.
+      ``row_echelon``'s exact elimination of the cleared rows.
     """
     m = _integer_rows(matrix)[0]
     rank, kernel = _rank_mod_p(m)
@@ -463,7 +455,7 @@ def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
             break
     else:
         return rank
-    return len(row_echelon(matrix)[0])
+    return len(row_echelon(m)[0])
 
 
 def _rank_mod_p(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
@@ -534,10 +526,7 @@ def _reconstruct(u: int) -> Fraction | None:
 
 def rational_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a square exact rational matrix."""
-    pivots, values, sign = row_echelon(matrix)
-    if len(pivots) < len(matrix):
-        return Fraction(0)
-    return prod(values, start=Fraction(sign))
+    return row_echelon(matrix)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -894,12 +883,12 @@ def sigma_rank(
 
     ``d`` defaults to the critical degree and may not be below it: only
     there does a rank drop mean that the resultant vanishes.  The rank is
-    that of the integer columns of ``_sigma_columns``, each the true column
-    times a nonzero constant, which leaves the rank unchanged.
+    that of the integer columns of ``_sigma_columns``, the true ones times
+    one nonzero constant, which leaves the rank unchanged.
     """
     d = _resultant_degree(spec, d)
-    row_basis, col_basis, columns, _ = _sigma_columns(spec, d, phi)
-    matrix = list(zip(*[col for col, _ in columns]))
+    row_basis, col_basis, columns, _, _ = _sigma_columns(spec, d, phi)
+    matrix = list(zip(*columns))
     return SigmaRank(d, len(row_basis), len(col_basis), rational_rank(matrix))
 
 

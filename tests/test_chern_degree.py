@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from detres import chern_degree
 from detres.chern_degree import (
     ExistenceError,
     ProblemSpec,
@@ -129,6 +130,84 @@ class TestTotalDegree:
             d = tuple(range(1, m + 1))
             spec = ProblemSpec(m, n, r, d, (0,) * n)
             assert total_degree(spec) == n * e_sym(m - n, d)
+
+
+def recursive_dual_det(rows):
+    """Oracle: Laplace expansion along the first row, recursively, of a
+    matrix of dual numbers ``[pure, alpha_1 part, ..., alpha_m part]``."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = [0] * len(rows[0][0])
+    for j, x in enumerate(rows[0]):
+        minor = recursive_dual_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        term = [x[0] * minor[0]] + [x[0] * b + minor[0] * a for a, b in zip(x[1:], minor[1:])]
+        acc = [a + (-1) ** j * b for a, b in zip(acc, term)]
+    return acc
+
+
+def quadric_family(q):
+    """The spec (q+2, q, 0) with d = (2, ..., 2) and k = (1, 0, ..., 0)."""
+    return ProblemSpec(q + 2, q, 0, (2,) * (q + 2), (1,) + (0,) * (q - 1))
+
+
+def r0_closed_form(spec):
+    """For r = 0 the resultant is that of the m*n entries, of degrees
+    d_i - k_j, and its degree in the coefficients of entry (j, i) is the
+    product of the other entries' degrees: N_i sums these over j."""
+    degs = {(j, i): spec.d[i] - spec.k[j] for j in range(spec.n) for i in range(spec.m)}
+    return tuple(
+        sum(prod(v for key, v in degs.items() if key != (j, i)) for j in range(spec.n))
+        for i in range(spec.m)
+    )
+
+
+class TestDualDet:
+    """The banded determinant by minors on column sets: the r = 0 closed
+    form, the count of dual products, and the recursive Laplace expansion
+    as an oracle."""
+
+    def test_r0_closed_form_at_q12(self):
+        spec = quadric_family(12)
+        assert multidegree(spec) == r0_closed_form(spec)
+
+    def test_r0_closed_form_small(self):
+        for spec in [quadric_family(q) for q in range(1, 8)] + [
+            s for s in random_specs(31, 40, 11) if s.r == 0
+        ]:
+            assert multidegree(spec) == r0_closed_form(spec)
+
+    def test_products_at_q8(self, monkeypatch):
+        calls = []
+        dual_mul = chern_degree._dual_mul
+
+        def counted(x, y):
+            calls.append(1)
+            return dual_mul(x, y)
+
+        monkeypatch.setattr(chern_degree, "_dual_mul", counted)
+        spec = quadric_family(8)
+        assert multidegree(spec) == r0_closed_form(spec)
+        assert 0 < len(calls) <= 8 * 2 ** 7
+
+    def test_against_recursive_expansion(self, monkeypatch):
+        specs = (
+            [quadric_family(q) for q in range(1, 7)]
+            + random_specs(47, 40, 11)
+            + [ProblemSpec(3, 3, 1, (1, 1, 1), (0, 0, 0)), ProblemSpec(4, 4, 2, (5, 3, 6, 4), (1, 0, 2, 1))]
+        )
+        got = [multidegree(spec) for spec in specs]
+        monkeypatch.setattr(chern_degree, "_dual_det", recursive_dual_det)
+        assert got == [multidegree(spec) for spec in specs]
+
+    def test_random_matrices(self):
+        rng = random.Random(0xD0A1)
+        for size in range(1, 7):
+            for _ in range(20):
+                rows = [
+                    [[rng.choice([0, 0, 1, -2, 3]) for _ in range(3)] for _ in range(size)]
+                    for _ in range(size)
+                ]
+                assert chern_degree._dual_det(rows) == recursive_dual_det(rows)
 
 
 def random_specs(seed, count, max_n):

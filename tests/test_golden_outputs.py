@@ -22,6 +22,7 @@ SPECS = {
     "syl12": {"m": 2, "n": 1, "r": 0, "d": [1, 2], "k": [0]},
     "macaulay": {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]},
     "lascoux": {"m": 3, "n": 3, "r": 1, "d": [1, 1, 1], "k": [0, 0, 0]},
+    "principal": {"m": 3, "n": 2, "r": 1, "d": [1, 1, 2], "k": [0, 0]},
 }
 
 
@@ -42,8 +43,28 @@ FILES = {
             form([("1", [2, 0]), ("-3", [0, 2])]),
         ]
     ],
+    # denominators 2 in row 1 and 3 in row 2: one lcm per row differs from
+    # one lcm for the whole morphism
+    "phi-rows": [
+        [
+            form([("1/2", [1, 0]), ("1", [0, 1])]),
+            form([("1", [1, 0]), ("-1/2", [0, 1])]),
+            form([("1", [2, 0]), ("1/4", [1, 1]), ("1", [0, 2])]),
+        ],
+        [
+            form([("1/3", [0, 1])]),
+            form([("1", [1, 0]), ("2/3", [0, 1])]),
+            form([("-1/3", [2, 0]), ("1", [0, 2])]),
+        ],
+    ],
     # meets S(2,1)
     "plane": [["1", "-1", "0", "0", "0"], ["0", "1", "-1", "0", "0"], ["0", "0", "0", "1", "-1"]],
+    # fractional entries in every row, in both blocks of S(2,1)
+    "plane-fractions": [
+        ["1/2", "-1", "0", "0", "0"],
+        ["0", "1", "-1/3", "0", "2/7"],
+        ["0", "0", "0", "1", "-1/5"],
+    ],
 }
 
 #: Each case: the argument list, with "spec:NAME" and "file:NAME" standing
@@ -59,6 +80,9 @@ CASES = {
     "chow": ["chow", "--scroll", "2,1"],
     "chow-matrix-only": ["chow", "--scroll", "2,1", "--matrix-only"],
     "chow-test": ["chow-test", "--scroll", "2,1", "--plane", "file:plane"],
+    "matrix-phi-rows": ["matrix", "--spec", "spec:principal", "--phi", "file:phi-rows"],
+    "test-phi-rows": ["test", "--spec", "spec:principal", "--phi", "file:phi-rows"],
+    "chow-test-fractions": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-fractions"],
     "complex": ["complex", "--spec", "spec:lascoux"],
 }
 
@@ -84,6 +108,12 @@ GOLDEN = {
     "chow-matrix-only json": "0 4a39516577b41562d6f769ef6a540f6081ed8768c259a3f00e84f325d14f63c5",
     "chow-test text": "10 21782e08293c55c40fa76a16cb99821c822c610f32fa29637a95747cb596f472",
     "chow-test json": "10 64da7674d9dd516c956570d5f9274bb10da34826ebafdf877e89a66cdfb6edad",
+    "matrix-phi-rows text": "0 6675762a301a3bb1ed8815536d55ca997fb18f09015dc1fb5f50caa3c785f505",
+    "matrix-phi-rows json": "0 d149644ed2056e904199e6a6475735891cb94b5520c384cb71966df0eb84fd14",
+    "test-phi-rows text": "0 8ba81afbf5916610fdc1a973b74dc9362d887904cc79b33bf7c336a5a0b8bec7",
+    "test-phi-rows json": "0 99c382a1fb977109138428e74966b5cc75c59506c8a578d2d918381db8a497d7",
+    "chow-test-fractions text": "0 7f87aa06aa32bb69b53745ea49f4d238ce7144bbf1a85edb6df3d50ec8e49b26",
+    "chow-test-fractions json": "0 be06ce5c74cf246250e4735c58cd65c4a01f35f30f0ef045184120707cb28fad",
     "complex text": "0 3a6949a92075cfa6216237d0d93b6f6a75de7feabc2fa560872eee5e3e6af2e2",
     "complex json": "0 de04ab001c9a2bd0516d3ee9d15c1b9e601b674fcc0fc3fc2c55b9424e7e499e",
 }

@@ -82,8 +82,10 @@ class TestMonomials:
         assert monomials_of_degree(3, 0) == [(0, 0, 0)]
 
     def test_order_is_glex_descending(self):
-        ms = monomials_of_degree(3, 2)
-        assert ms == sorted(ms, key=glex_key, reverse=True)
+        for nvars in range(1, 7):
+            for d in range(0, 8):
+                ms = monomials_of_degree(nvars, d)
+                assert ms == sorted(ms, key=glex_key, reverse=True)
 
 
 class TestArithmetic:
