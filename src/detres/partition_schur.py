@@ -8,10 +8,11 @@ as ``None`` and must not be confused with the zero partition ``()``.
 
 The homological bookkeeping here enumerates the term shapes of the
 resolution of a rank-deficiency locus: for each admissible index ``I`` the
-pair ``(I', n(I))`` is computed both by the shifted-sequence concatenation
-(inversion counting) and by its closed form, and the per-index terms are
-grouped by homological degree.  In the principal case (rank bound one less
-than the smaller rank) this reproduces the Eagon-Northcott shapes.
+pair ``(I', n(I))`` is computed by its closed form (``lemma510``), and the
+per-index terms are grouped by homological degree.  The shifted-sequence
+concatenation ``conc`` (inversion counting) is kept as that form's test
+oracle.  In the principal case (rank bound one less than the smaller rank)
+this reproduces the Eagon-Northcott shapes.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ def trim(parts: Sequence[int]) -> Partition:
 
 def weight(parts: Sequence[int]) -> int:
     return sum(parts)
-
-
-def length(parts: Sequence[int]) -> int:
-    """Number of nonzero parts."""
-    return sum(1 for p in parts if p)
 
 
 def dual(parts: Sequence[int]) -> Partition:
@@ -131,12 +127,9 @@ def lemma510(
         return None, None
     head = padded[: q - p]
     tail = tuple(x - r for x in padded[q - p :])
-    i_prime = head + (p,) * r + tail
-    if any(a > b for a, b in zip(i_prime, i_prime[1:])):
-        # Head part collides with the inserted square block: the shifted
-        # multiset has a repeat and the index annihilates.
-        return None, None
-    return trim(i_prime), p * r
+    # head's last part is at most p, as p is the greatest square, and
+    # tail's first is at least p, by the guard above: I' is increasing.
+    return trim(head + (p,) * r + tail), p * r
 
 
 class _ComplexTerm(NamedTuple):

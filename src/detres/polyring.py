@@ -7,10 +7,10 @@ variable sets and term maps are equal.  All operations are pure; values are
 immutable after construction and safe to share between threads.
 
 ``Fraction`` appears only in ``Polynomial.terms``.  The determinant (a
-division-free memoized minor expansion), the gcd and evaluation at an
-integer point clear all denominators by one lcm (``_clear_denominators``,
-which ``resultant_engine`` also applies to a concrete morphism) and run on
-the integer kernel (``_det_packed``, ``_dict_mul``, ``_dict_try_div``,
+division-free memoized minor expansion), the gcd and evaluation clear all
+denominators by one lcm (``_clear_denominators``, which
+``resultant_engine`` also applies to a concrete morphism); the first two run
+on the integer kernel (``_det_packed``, ``_dict_mul``, ``_dict_try_div``,
 ``_normalize_int_dict``), whose term dicts are keyed by packed exponents: a
 monomial product is one int add.  No public function divides polynomials.
 With P variables, the top field of a packed exponent holds the total degree
@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from struct import Struct
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -286,41 +287,31 @@ class Polynomial:
 
         A full assignment (every variable of the varset bound) returns a
         ``Fraction``; a partial assignment returns a ``Polynomial`` over the
-        same varset with the bound variables eliminated.
+        same varset with the bound variables eliminated.  The coefficients'
+        denominators are cleared by one lcm, so at an integer point the
+        terms are summed in int arithmetic; each power of a value is taken
+        once, and the sums are divided by the lcm at the end.
         """
-        values: dict[int, Fraction | int] = {}
-        for name, v in point.items():
-            values[self.varset.index(name)] = v if type(v) is int else Fraction(v)
-        if len(values) == len(self.varset):
-            # At an integer point the sum runs in int arithmetic, with the
-            # coefficients' denominators cleared once.
-            if all(type(v) is int for v in values.values()):
-                (terms,), den = _clear_denominators(self.terms)
-            else:
-                terms, den = self.terms, 1
-            powers: dict[tuple[int, int], Fraction | int] = {}
-            total = 0
-            for e, c in terms.items():
-                for i, k in enumerate(e):
-                    if k:
-                        p = powers.get((i, k))
-                        if p is None:
-                            p = powers[(i, k)] = values[i] ** k
-                        c *= p
-                total += c
-            return Fraction(total, den)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            for i, val in values.items():
+        values = {self.varset.index(name): v if type(v) is int else Fraction(v) for name, v in point.items()}
+        keep = [int(i not in values) for i in range(len(self.varset))]
+        (terms,), den = _clear_denominators(self.terms)
+        powers: dict[tuple[int, int], Fraction | int] = {}
+        out: dict[Exponent, Fraction | int] = {}
+        for e, c in terms.items():
+            for i, v in values.items():
                 if e[i]:
-                    c = c * val ** e[i]
-            e2 = tuple(0 if i in values else x for i, x in enumerate(e))
-            s = out.get(e2, 0) + c
-            if s:
-                out[e2] = s
-            elif e2 in out:
-                del out[e2]
-        return Polynomial(self.varset, out)
+                    p = powers.get((i, e[i]))
+                    if p is None:
+                        p = powers[i, e[i]] = v ** e[i]
+                    c *= p
+            rest = tuple(map(mul, e, keep))
+            if total := out.get(rest, 0) + c:
+                out[rest] = total
+            else:  # the terms cancel
+                out.pop(rest, None)
+        if len(values) == len(self.varset):
+            return Fraction(sum(out.values()), den)
+        return _from_terms(self.varset, out, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -379,22 +370,20 @@ def rational_from_json(c) -> Fraction:
 def det_fraction_free(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
     """Determinant of a square polynomial matrix by memoized minor expansion.
 
-    A 1x1 matrix gives its entry.  Else the matrix is scaled by the lcm L of
-    all its denominators, and the integer determinant is built from its
-    minors one row at a time, every minor computed once per column set
-    (Gentleman & Johnson, ACM TOMS 2(3), 1976; see ``_det_packed``): only
-    ring operations, no division, and zero entries and zero minors are
-    skipped.  The result is divided by L^n once at the end; it is identical
-    to cofactor expansion.  The expansion runs on packed exponents, with
-    fields for degrees up to n times the largest entry degree.
+    The matrix is scaled by the lcm L of all its denominators, and the
+    integer determinant is built from its minors one row at a time, every
+    minor computed once per column set (Gentleman & Johnson, ACM TOMS 2(3),
+    1976; see ``_det_packed``): only ring operations, no division, and zero
+    entries and zero minors are skipped.  The result is divided by L^n once
+    at the end; it is identical to cofactor expansion, and a 1x1 matrix
+    gives its entry.  The expansion runs on packed exponents, with fields
+    for degrees up to n times the largest entry degree.
     """
     n = len(matrix)
     if n == 0:
         raise PolyError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise PolyError("matrix is not square")
-    if n == 1:
-        return matrix[0][0]
     ints, den = _clear_denominators(*[entry.terms for row in matrix for entry in row])
     nv = len(matrix[0][0].varset)
     s = _field_bits(n * max([sum(e) for t in ints for e in t], default=0))
@@ -453,7 +442,7 @@ def multivariate_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     extraction; candidate remainders are verified by exact trial division, so
     every early exit is exact.  The inputs are put in graded-lex descending
     order on entry: the cost of the PRS depends, by orders of magnitude, on
-    the order of the terms, and now only on their set.
+    the order of the terms.
     """
     p._check_varset(q)
     if p.is_zero() and q.is_zero():

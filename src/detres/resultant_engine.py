@@ -281,7 +281,7 @@ def _sigma_columns(
     packed once, and each Delta_{J,I} is a ``_det_packed`` minor of them,
     scattered into rows.  A generic column lists per row a packed term dict
     over the parameters in nparams + 1 fields of ``ps`` bits (given for a
-    generic phi), as block 1 of ``_resultant_by_complex`` takes it: one {}
+    generic phi), as block 1 of ``resultant_gcd`` takes it: one {}
     for its zero cells, the cells of a Delta_{J,I} shared by its columns;
     its scale is 1.  A concrete column lists integer cells: phi's entries
     are cleared of denominators by one lcm L, so every column is the true
@@ -557,26 +557,8 @@ class LascouxCaseError(PolyError):
     Lascoux's complex, which is not built here."""
 
 
-def resultant_gcd(
-    spec: ProblemSpec,
-    d: int | None = None,
-    naming: Callable[[int, int, Exponent], str] | None = None,
-) -> ResultantOutput:
-    """The determinantal resultant of the generic morphism, from sigma_d.
-
-    The resultant is the determinant of the degree-d strand of the complex
-    whose first differential is sigma_d (see ``complex_strand``), by
-    Cayley's formula (see ``_resultant_by_complex``).  A spec with
-    0 < r < n - 1 raises ``LascouxCaseError`` before any matrix is built.
-    """
-    d = _resultant_degree(spec, d)
-    _require_complex(spec)
-    return _resultant_by_complex(spec, d, naming)
-
-
 def _resultant_degree(spec: ProblemSpec, d: int | None) -> int:
     """``d``, defaulting to the critical degree, which it may not be below."""
-    require_existence(spec)
     nu = critical_degree(spec)
     if d is None:
         return nu
@@ -791,21 +773,27 @@ def _compatible_blocks(
     return blocks
 
 
-def _resultant_by_complex(
+def resultant_gcd(
     spec: ProblemSpec,
-    d: int,
+    d: int | None = None,
     naming: Callable[[int, int, Exponent], str] | None = None,
 ) -> ResultantOutput:
-    """The resultant as the determinant of the degree-d strand (Cayley).
+    """The determinantal resultant of the generic morphism, as the
+    determinant of the degree-d strand of its complex (Cayley's formula).
 
+    The complex's first differential is sigma_d (see ``complex_strand``).
     With compatible square blocks B_p of the differentials (see
-    ``_compatible_blocks``, at a point drawn from ``_POINT_SEED`` and
-    redrawn up to 16 times), the determinant of the complex is the product
-    of det(B_p) over odd p divided, exactly, by the product over even p
-    (Gelfand, Kapranov & Zelevinsky, 1994, Appendix A); for d at least the
-    critical degree it is the resultant.  A square sigma_d with no further
-    term gives det(sigma_d) without a point.
+    ``_compatible_blocks``, at the first of up to 16 points drawn from
+    ``_POINT_SEED`` where they exist, else ``PolyError``), the determinant
+    of the complex is the product of det(B_p) over odd p divided, exactly,
+    by the product over even p (Gelfand, Kapranov & Zelevinsky, 1994,
+    Appendix A); for d at least the critical degree, its default, it is the
+    resultant.  A square sigma_d with no further term gives det(sigma_d)
+    without a point.  A spec with 0 < r < n - 1 raises ``LascouxCaseError``
+    before any matrix is built.
     """
+    d = _resultant_degree(spec, d)
+    _require_complex(spec)
     phi = generic_morphism(spec, naming)
     dims, maps = complex_strand(spec, d, phi)
     # One field size for all blocks and sigma_d's cells: no product of

@@ -50,6 +50,18 @@ class TestExistence:
         with pytest.raises(ExistenceError):
             ProblemSpec(2, 1, 0, (1,), (0,))
 
+    @pytest.mark.parametrize(
+        "spec, bad",
+        [
+            (ProblemSpec(1, 2, 0, (1,), (0, 0)), ["m >= n fails: m=1, n=2"]),
+            (ProblemSpec(2, 2, 2, (1, 1), (0, 0)), ["n > r fails: n=2, r=2", "ambient dimension N=-1 is below 1"]),
+            (ProblemSpec(2, 1, -1, (1, 1), (0,)), ["r >= 0 fails: r=-1"]),
+        ],
+        ids=["m-below-n", "r-equals-n", "negative-r"],
+    )
+    def test_rank_inequalities(self, spec, bad):
+        assert spec.diagnostics() == bad
+
 
 class TestMultidegree:
     def test_sylvester_family(self):

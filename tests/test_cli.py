@@ -136,6 +136,13 @@ class TestMatrix:
         assert data["symbolic"] is False
 
 
+    def test_negative_degree(self, spec_file, capsys):
+        path = spec_file("s.json", SYL11)
+        assert main(["matrix", "--spec", path, "--degree", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree must be >= 0\n"
+
     def test_generic_flag_removed(self, spec_file, capsys):
         path = spec_file("s.json", SYL11)
         with pytest.raises(SystemExit) as exc:

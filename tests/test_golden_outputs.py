@@ -23,6 +23,8 @@ SPECS = {
     "macaulay": {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]},
     "lascoux": {"m": 3, "n": 3, "r": 1, "d": [1, 1, 1], "k": [0, 0, 0]},
     "principal": {"m": 3, "n": 2, "r": 1, "d": [1, 1, 2], "k": [0, 0]},
+    # d_i > k_1 fails for both columns: no resultant
+    "no-resultant": {"m": 2, "n": 1, "r": 0, "d": [1, 1], "k": [1]},
 }
 
 
@@ -65,6 +67,12 @@ FILES = {
         ["0", "1", "-1/3", "0", "2/7"],
         ["0", "0", "0", "1", "-1/5"],
     ],
+    # two equal rows: the Stiefel matrix has rank 2 < 3
+    "plane-degenerate": [
+        ["1", "-1", "0", "0", "0"],
+        ["1", "-1", "0", "0", "0"],
+        ["0", "0", "0", "1", "-1"],
+    ],
 }
 
 #: Each case: the argument list, with "spec:NAME" and "file:NAME" standing
@@ -84,6 +92,8 @@ CASES = {
     "test-phi-rows": ["test", "--spec", "spec:principal", "--phi", "file:phi-rows"],
     "chow-test-fractions": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-fractions"],
     "complex": ["complex", "--spec", "spec:lascoux"],
+    "degree-no-resultant": ["degree", "--spec", "spec:no-resultant"],
+    "chow-test-degenerate": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-degenerate"],
 }
 
 #: "<exit code> <sha256 of stdout>" per case and mode.
@@ -116,6 +126,10 @@ GOLDEN = {
     "chow-test-fractions json": "0 be06ce5c74cf246250e4735c58cd65c4a01f35f30f0ef045184120707cb28fad",
     "complex text": "0 3a6949a92075cfa6216237d0d93b6f6a75de7feabc2fa560872eee5e3e6af2e2",
     "complex json": "0 de04ab001c9a2bd0516d3ee9d15c1b9e601b674fcc0fc3fc2c55b9424e7e499e",
+    "degree-no-resultant text": "3 22e2c79a0db594d06dd41b747608657a0826f68a58f29b6d4f7d0b9a17f3acbb",
+    "degree-no-resultant json": "3 72d5eb24ae9648ebeab955af34c856be0a6ccb55c75cde99ad6e3adaa6a5ee60",
+    "chow-test-degenerate text": "10 ddb8f18de63822870747c06da23b57e0b543ecb5f50cc00d41b040d70d3c5dec",
+    "chow-test-degenerate json": "10 958878a908d7515cf01f0162a9d29da697b6fe38780c23db239ae6bb9763aba0",
 }
 
 

@@ -166,6 +166,10 @@ class TestLemma510:
             lemma510((3, 1), 4, 3, 1)
         with pytest.raises(PartitionError):
             lemma510((1,) * 5, 4, 3, 1)
+        with pytest.raises(PartitionError, match=r"^part 3 exceeds m=2$"):
+            lemma510((3,), 2, 1, 0)
+        with pytest.raises(PartitionError, match=r"^need m >= n > r >= 0, got \(2, 3, 1\)$"):
+            lemma510((1,), 2, 3, 1)
 
     def test_matches_conc_exhaustively(self):
         # cross-check against conc(I, O_r) on all I with parts <= 5, q <= 3
@@ -230,6 +234,11 @@ class TestComplexTerms:
                 )
                 assert total == m - n + 2
 
+    @pytest.mark.parametrize("mnr", [(2, 3, 1), (3, 2, 2), (3, 2, -1)])
+    def test_bad_ranks(self, mnr):
+        with pytest.raises(PartitionError, match=rf"^need m >= n > r >= 0, got \({', '.join(map(str, mnr))}\)$"):
+            complex_terms(*mnr, 0)
+
     def test_homological_identity(self):
         for t in complex_terms(5, 3, 1, -2):
             assert t.homological_index == t.ampleness - weight(t.I)
@@ -251,6 +260,10 @@ class TestSchurDim:
 
     def test_empty(self):
         assert schur_dim((), 3) == 1
+
+    def test_rank_zero(self):
+        with pytest.raises(PartitionError, match=r"^rank must be positive$"):
+            schur_dim((1,), 0)
 
     def test_matches_tableau_enumeration(self):
         for rank in (1, 2, 3):

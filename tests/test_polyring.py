@@ -81,6 +81,12 @@ class TestMonomials:
     def test_degree_zero(self):
         assert monomials_of_degree(3, 0) == [(0, 0, 0)]
 
+    def test_bad_arguments(self):
+        with pytest.raises(PolyError, match=r"^nvars must be >= 1$"):
+            monomials_of_degree(0, 1)
+        with pytest.raises(PolyError, match=r"^degree must be >= 0$"):
+            monomials_of_degree(2, -1)
+
     def test_order_is_glex_descending(self):
         for nvars in range(1, 7):
             for d in range(0, 8):
@@ -123,6 +129,11 @@ class TestArithmetic:
 
     def test_zero_degree_marker(self):
         assert Polynomial.zero(XY).degree == NEG_INFINITY
+
+    def test_str_with_constant_term(self):
+        assert str(2 * X**2 + Fraction(1, 2) * Y - 3) == "2*x^2 + 1/2*y - 3"
+        assert str(-X * Y + Fraction(7, 3)) == "-x*y + 7/3"
+        assert str(Polynomial.constant(XY, -5)) == "-5"
 
     def test_canonical_no_zero_coeffs(self):
         p = X - X

@@ -1068,6 +1068,35 @@ class TestComplexRoute:
         monkeypatch.setattr(resultant_engine, "build_sigma", refuse)
         assert resultant_gcd(spec, critical_degree(spec) + 1).confirmed
 
+    REDRAW_CASES = [(sylvester_spec(2, 3), 1), (ProblemSpec(3, 1, 0, (1, 1, 2), (0,)), 0)]
+
+    @pytest.mark.parametrize("spec, extra", REDRAW_CASES, ids=[spec_id(spec) for spec, _ in REDRAW_CASES])
+    def test_redraws_after_a_singular_point(self, monkeypatch, spec, extra):
+        """At the all-zero point every block is singular, so the route draws
+        the next point and gives the same output."""
+        d = critical_degree(spec) + extra
+        want = resultant_gcd(spec, d)
+        points, compatible, calls = resultant_engine._points, resultant_engine._compatible_blocks, []
+
+        def zero_first(phi):
+            yield [0] * len(phi.param_names)
+            yield from points(phi)
+
+        def spy_blocks(*args):
+            calls.append(compatible(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(resultant_engine, "_points", zero_first)
+        monkeypatch.setattr(resultant_engine, "_compatible_blocks", spy_blocks)
+        assert resultant_gcd(spec, d) == want
+        assert len(calls) == 2 and calls[0] is None
+
+    @pytest.mark.parametrize("spec, extra", REDRAW_CASES, ids=[spec_id(spec) for spec, _ in REDRAW_CASES])
+    def test_no_compatible_point_raises(self, monkeypatch, spec, extra):
+        monkeypatch.setattr(resultant_engine, "_points", lambda phi: ([0] * len(phi.param_names) for _ in range(16)))
+        with pytest.raises(PolyError, match=r"^could not find compatible nonsingular blocks$"):
+            resultant_gcd(spec, critical_degree(spec) + extra)
+
     def test_lascoux_spec_raises_before_sigma(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a matrix was built")
@@ -1102,7 +1131,7 @@ class TestComplexRoute:
 
         def spy_det(matrix):  # the block determinants, not sigma's minors
             out = det_packed(matrix)
-            if sys._getframe(1).f_code.co_name == "_resultant_by_complex":
+            if sys._getframe(1).f_code.co_name == "resultant_gcd":
                 dets.append(out)
             return out
 
@@ -1222,6 +1251,13 @@ class TestGenericMorphism:
         assert keys == sorted(keys, key=lambda key: (key[1], key[0]))
         assert phi.param_names[:5] == ("c_1_1_1_0", "c_1_1_0_1", "c_2_1_1_0", "c_2_1_0_1", "c_1_2_1_0")
         assert phi.coeff_names[(2, 3, (1, 1))] == "c_2_3_1_1"
+
+    def test_letters_fall_back_past_24_columns(self):
+        phi = generic_morphism(ProblemSpec(25, 1, 0, (1,) * 25, (0,)), letter_naming())
+        names = {i: [name for (_, col, _), name in phi.coeff_names.items() if col == i] for i in (1, 24, 25)}
+        assert names[1][:2] == ["a0", "a1"] and names[24][:2] == ["z0", "z1"]
+        assert names[25][:2] == ["c_1_25_1_" + "0_" * 23 + "0", "c_1_25_0_1_" + "0_" * 22 + "0"]
+        assert len(set(phi.param_names)) == len(phi.param_names) == 25 * 25
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(PolyError, match=r"^duplicate parameter name 'p'$"):

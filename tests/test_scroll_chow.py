@@ -224,6 +224,8 @@ class TestParametrize:
             parametrize(spec, (0, 0), (1, 1))
         with pytest.raises(Exception):
             parametrize(spec, (1, 1), (0, 0))
+        with pytest.raises(polyring.PolyError, match=r"^lambda must have 2 entries$"):
+            parametrize(spec, (1, 1), (1,))
 
 
 class TestChowProblem:
@@ -274,6 +276,22 @@ class TestPlucker:
         base = plucker_coords(plane)
         assert plucker_coords(scaled) == tuple(3 * c for c in base)
         assert plane_meets_scroll(spec, plane) == plane_meets_scroll(spec, scaled)
+
+    def test_more_rows_than_columns(self):
+        with pytest.raises(polyring.PolyError, match=r"^plane matrix has fewer columns than rows$"):
+            plucker_coords(PlaneStiefel(((1, 2), (3, 4), (5, 6))))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), "plane must have 3 rows"),
+            (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), "plane rows must have 5 entries"),
+        ],
+        ids=["row-count", "row-length"],
+    )
+    def test_plane_morphism_shape(self, rows, message):
+        with pytest.raises(polyring.PolyError, match=rf"^{message}$"):
+            plane_morphism(ScrollSpec((2, 1)), PlaneStiefel(rows))
 
 
 class TestIncidence:
