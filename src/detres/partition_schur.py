@@ -107,8 +107,7 @@ def lemma510(
     if not (m >= n > r >= 0):
         raise PartitionError(f"need m >= n > r >= 0, got {(m, n, r)}")
     q = n - r
-    t = check_partition(I)
-    t = trim(t)
+    t = trim(I)
     if len(t) > q:
         raise PartitionError(f"partition {t!r} longer than q={q}")
     if t and t[-1] > m:

@@ -128,7 +128,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
 class Polynomial:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("varset", "terms", "_hash")
+    __slots__ = ("varset", "terms")
 
     def __init__(self, varset: VarSet, terms: Mapping[Exponent, Fraction | int]):
         canon: dict[Exponent, Fraction] = {}
@@ -145,7 +145,6 @@ class Polynomial:
                 canon[tuple(exps)] = c
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Polynomial is immutable")
@@ -184,16 +183,12 @@ class Polynomial:
     @property
     def degree(self) -> int | float:
         """Total degree; ``NEG_INFINITY`` for the zero polynomial."""
-        if not self.terms:
-            return NEG_INFINITY
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=NEG_INFINITY)
 
     def degree_in(self, names: Iterable[str]) -> int | float:
         """Total degree with respect to a subset of the variables."""
         idx = [self.varset.index(v) for v in names]
-        if not self.terms:
-            return NEG_INFINITY
-        return max(sum(e[i] for i in idx) for e in self.terms)
+        return max([sum(e[i] for i in idx) for e in self.terms], default=NEG_INFINITY)
 
     # -- ring operations ---------------------------------------------------
 
@@ -243,11 +238,7 @@ class Polynomial:
         return self.varset == other.varset and self.terms == other.terms
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.varset, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.varset, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -351,15 +342,18 @@ class Polynomial:
 def rational_from_json(c) -> Fraction:
     """An exact rational from JSON: a string such as ``"-3/4"`` or an integer.
 
-    Floats and booleans are refused rather than rounded, as is a zero
-    denominator.
+    Floats and booleans are refused rather than rounded, as are a zero
+    denominator, "_" and inner whitespace: ``Fraction`` reads "1_000" from
+    Python 3.11 on and "2 / 3" from 3.12 on, and other inner spaces never.
     """
     if type(c) not in (int, str):
         raise PolyError(f"coefficient {c!r} is not a string or an integer")
     try:
-        return Fraction(c)
+        if type(c) is int or ("_" not in c and len(c.split()) == 1):
+            return Fraction(c)
     except (ValueError, ZeroDivisionError):
-        raise PolyError(f"coefficient {c!r} is not a rational number") from None
+        pass
+    raise PolyError(f"coefficient {c!r} is not a rational number")
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,9 @@ def _sigma_columns(
     symbolic = isinstance(phi, GenericMorphism)
     monomials = cache(lambda deg: monomials_of_degree(nv, deg))
     row_basis = tuple(monomials(d))
-    # Delta_{J,I} * mu has degree d in x0..xN, a concrete minor r+1 entry degrees at most.
-    s = _field_bits(d)
+    # Entry (j, i) has degree d_i - k_j, at most this bound and at least 1, so a minor
+    # _det_packed forms inside a kept Delta_{J,I} has degree <= d - deg mu <= d.
+    s = _field_bits(max(d, max(spec.d) - min(spec.k)))
     if symbolic:
         # x^e c_t: the key of e above bit ``low``, 1 << nparams*ps | 1 << (nparams-1-t)*ps below it.
         # A parameter field of an (r+1)-minor is at most r+1 < 2^(ps-1): no carry crosses ``low``.
@@ -310,8 +311,6 @@ def _sigma_columns(
         scale = 1
     else:
         cleared, scale = _clear_denominators(*[p.terms for row in phi.entries for p in row])
-        top = max([sum(e) for t in cleared for e in t], default=0)
-        s = _field_bits(max(d, (spec.r + 1) * top))
         packed = [[_pack(t, nv, s) for t in cleared[j : j + spec.m]] for j in range(0, len(cleared), spec.m)]
     zero = {} if symbolic else 0
     row_index = _pack({e: r for r, e in enumerate(row_basis)}, nv, s)
@@ -672,10 +671,9 @@ def complex_strand(
             ]
             for p in range(1, spec.m - n + 2)
         )
-    param = {name: t for t, name in enumerate(phi.param_names)}
     entries: dict[tuple[int, int], list] = {}  # (j, i) -> [(exponent, parameter)]
-    for (j, i, exps), name in phi.coeff_names.items():
-        entries.setdefault((j, i), []).append((exps, param[name]))
+    for t, (j, i, exps) in enumerate(phi.coeff_names):  # parameter t is the t-th name
+        entries.setdefault((j, i), []).append((exps, t))
     nv = spec.N + 1
     dims = [len(monomials_of_degree(nv, d))]
     maps = []
@@ -814,8 +812,6 @@ def resultant_gcd(
     nparams = len(phi.param_names)
     odd, even = [], []
     for p, (rows, cols) in enumerate(blocks, start=1):
-        if not rows:
-            continue
         if p == 1:  # all rows of sigma_d
             matrix = list(zip(*[columns[c] for c in cols]))
         else:

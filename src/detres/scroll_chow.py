@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .chern_degree import ExistenceError, ProblemSpec, require_existence
+from .chern_degree import ExistenceError, ProblemSpec
 from .polyring import (
     PolyError,
     Polynomial,
@@ -135,19 +135,16 @@ def chow_problem(spec: ScrollSpec) -> ProblemSpec:
 
     On the projective line: E trivial of rank r+1, F the sum of the
     O(d_i), rank bound r-1, i.e. the locus where the induced (r) x (r+1)
-    matrix of binary forms drops rank.
+    matrix of binary forms drops rank.  It exists for every ``ScrollSpec``:
+    m > n > r - 1 >= 0, every d_i = 0 > k_j, and N = 1.
     """
-    if spec.r < 1:
-        raise ExistenceError("scroll must have at least one degree")
-    problem = ProblemSpec(
+    return ProblemSpec(
         m=spec.r + 1,
         n=spec.r,
         r=spec.r - 1,
         d=(0,) * (spec.r + 1),
         k=tuple(-d for d in spec.degrees),
     )
-    require_existence(problem)
-    return problem
 
 
 def chow_generic_morphism(spec: ScrollSpec) -> GenericMorphism:

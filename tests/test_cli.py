@@ -149,6 +149,16 @@ class TestMatrix:
             main(["matrix", "--spec", path, "--generic"])
         assert exc.value.code == 2
 
+    def test_entry_degree_above_d(self, spec_file, capsys):
+        """An entry of degree 300 at d = 0: both column groups are omitted."""
+        path = spec_file("s.json", {"m": 2, "n": 1, "r": 0, "d": [300, 1], "k": [0]})
+        assert main(["matrix", "--spec", path, "--degree", "0"]) == 0
+        assert capsys.readouterr().out == "sigma_0: 1 x 0 (2 omitted column groups)\n  []\n"
+        assert main(["matrix", "--spec", path, "--degree", "0", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["row_basis"], data["col_basis"], data["entries"]) == ([[0, 0]], [], [[]])
+        assert data["omitted_columns"] == 2
+
 
 @pytest.mark.parametrize("command", ["matrix", "resultant", "test", "complex"])
 def test_existence_failure_exit_three(spec_file, tmp_path, capsys, command):
@@ -278,11 +288,14 @@ class TestVanishTest:
             ([[term_json([{"e": [1, 0]}]), X0]], "term {'e': [1, 0]} is not an object with 'e' and 'c'"),
             ({"rows": [[X0, X0]]}, "a morphism is a list of rows, each a list of entries"),
             ([[{"vars": "x0x1", "terms": X0["terms"]}, X0]], "vars 'x0x1' is not a list of strings"),
+            ([[term_json([{"c": "1", "e": [1]}]), X0]], "exponent tuple (1,) does not match 2 variables"),
+            ([[term_json([{"c": "1", "e": [2, -1]}]), X0]], "negative exponent in (2, -1)"),
         ],
         ids=[
             "empty-row", "no-rows", "short-row", "extra-row", "other-vars", "three-vars",
             "float-exponent", "bool-exponent", "repeated-exponent", "float-coefficient",
             "missing-terms", "missing-coefficient", "object-file", "string-vars",
+            "short-exponent", "negative-exponent",
         ],
     )
     def test_malformed_phi(self, spec_file, tmp_path, capsys, phi, reason):
@@ -366,10 +379,13 @@ class TestChowTest:
             {"10000": 0, "01000": 0, "00100": 0},
             ["10000", "01000", "00100"],
             "1",
+            # Fraction reads "2 / 3" from Python 3.12 on and "1_000" from 3.11 on
+            [["1", "0", "0", "0", "0"], ["0", "2 / 3", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
+            [["1_000", "0", "0", "0", "0"], ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]],
         ],
         ids=[
             "zero-denominator", "float", "bool", "not-a-number", "object",
-            "string-rows", "string",
+            "string-rows", "string", "spaced-slash", "underscore",
         ],
     )
     def test_malformed_plane(self, tmp_path, capsys, plane):

@@ -59,6 +59,10 @@ FILES = {
             form([("-1/3", [2, 0]), ("1", [0, 2])]),
         ],
     ],
+    # exponent (1,) over x0, x1: rejected by Polynomial
+    "phi-short-exponent": [[form([("1", [1])]), form([("1", [0, 1])])]],
+    # exponent (2, -1): rejected by Polynomial
+    "phi-negative-exponent": [[form([("1", [2, -1])]), form([("1", [0, 1])])]],
     # meets S(2,1)
     "plane": [["1", "-1", "0", "0", "0"], ["0", "1", "-1", "0", "0"], ["0", "0", "0", "1", "-1"]],
     # fractional entries in every row, in both blocks of S(2,1)
@@ -94,6 +98,10 @@ CASES = {
     "complex": ["complex", "--spec", "spec:lascoux"],
     "degree-no-resultant": ["degree", "--spec", "spec:no-resultant"],
     "chow-test-degenerate": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-degenerate"],
+    "test-phi-short-exponent": ["test", "--spec", "spec:syl11", "--phi", "file:phi-short-exponent"],
+    "matrix-phi-short-exponent": ["matrix", "--spec", "spec:syl11", "--phi", "file:phi-short-exponent"],
+    "test-phi-negative-exponent": ["test", "--spec", "spec:syl11", "--phi", "file:phi-negative-exponent"],
+    "matrix-phi-negative-exponent": ["matrix", "--spec", "spec:syl11", "--phi", "file:phi-negative-exponent"],
 }
 
 #: "<exit code> <sha256 of stdout>" per case and mode.
@@ -130,6 +138,14 @@ GOLDEN = {
     "degree-no-resultant json": "3 72d5eb24ae9648ebeab955af34c856be0a6ccb55c75cde99ad6e3adaa6a5ee60",
     "chow-test-degenerate text": "10 ddb8f18de63822870747c06da23b57e0b543ecb5f50cc00d41b040d70d3c5dec",
     "chow-test-degenerate json": "10 958878a908d7515cf01f0162a9d29da697b6fe38780c23db239ae6bb9763aba0",
+    "test-phi-short-exponent text": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "test-phi-short-exponent json": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "matrix-phi-short-exponent text": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "matrix-phi-short-exponent json": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "test-phi-negative-exponent text": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "test-phi-negative-exponent json": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "matrix-phi-negative-exponent text": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "matrix-phi-negative-exponent json": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 }
 
 

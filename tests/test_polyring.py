@@ -31,6 +31,7 @@ from detres.polyring import (
     monomials_of_degree,
     multivariate_gcd,
     normalize_gcd_style,
+    rational_from_json,
 )
 from detres.resultant_engine import rational_det
 from minors_oracle import exact_div, try_exact_div
@@ -908,3 +909,46 @@ class TestSerialization:
     def test_rejects_malformed_shape(self, data, reason):
         with pytest.raises(PolyError, match=reason):
             Polynomial.from_json(data)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("-3/4", Fraction(-3, 4)),
+            ("7", Fraction(7)),
+            (" 7 ", Fraction(7)),
+            ("1.5", Fraction(3, 2)),
+            ("1e3", Fraction(1000)),
+            (" 1/2\n", Fraction(1, 2)),
+            ("+5", Fraction(5)),
+            (".5", Fraction(1, 2)),
+            ("1E-2", Fraction(1, 100)),
+            # Fraction reads "_" from Python 3.11 and whitespace at "/" from 3.12
+            ("1_000", None),
+            ("1_0/3", None),
+            ("3/1_0", None),
+            ("1.5_0", None),
+            ("1e1_0", None),
+            ("2 / 3", None),
+            ("1 /2", None),
+            ("1/ 2", None),
+            ("1\t/2", None),
+            ("1/\n2", None),
+            ("1\u2003/2", None),
+            # refused by Fraction on every version
+            ("1/0", None),
+            ("", None),
+            ("x", None),
+            ("1/2/3", None),
+            ("1 2", None),
+            ("1. 5", None),
+            ("1/-2", None),
+            ("inf", None),
+        ],
+    )
+    def test_rational_strings(self, text, value):
+        if value is None:
+            with pytest.raises(PolyError, match="^coefficient .* is not a rational number$"):
+                rational_from_json(text)
+        else:
+            got = rational_from_json(text)
+            assert type(got) is Fraction and got == value

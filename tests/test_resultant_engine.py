@@ -207,6 +207,28 @@ class TestBuildSigma:
         with pytest.raises(PolyError):
             build_sigma(sylvester_spec(1, 2), 2, gen)
 
+    @pytest.mark.parametrize("d", [0, 1, 127, 128])
+    def test_entry_degree_above_d(self, d):
+        """An entry of degree 300 with d below it: the entries are packed in
+        fields wide enough for their degree, not only for d, and every column
+        is the linear entry's Delta_{J,I} times mu."""
+        spec = ProblemSpec(2, 1, 0, (300, 1), (0,))
+        varset = VarSet(("x0", "x1"))
+        big = Polynomial(varset, {(300, 0): 1, (1, 299): Fraction(-1, 2), (0, 300): 3})
+        line = Polynomial(varset, {(1, 0): 2, (0, 1): Fraction(1, 3)})
+        phi = ConcreteMorphism(spec, varset, ((big, line),))
+        gen = generic_morphism(spec)
+        generic, concrete = build_sigma(spec, d, gen), build_sigma(spec, d, phi)
+        for sigma in (generic, concrete):
+            assert sigma.shape == (d + 1, d)
+            assert sigma.omitted_columns == (2 if d == 0 else 1)
+            assert [(J, I) for J, I, _ in sigma.col_basis] == [((1,), (2,))] * d
+        linear = generic_entries(gen)[0][1]
+        for c, (_, _, mu) in enumerate(generic.col_basis):
+            mu_poly = Polynomial.monomial(linear.varset, mu + (0,) * len(gen.param_names))
+            assert column_polynomial(generic, c) == linear * mu_poly
+        assert concrete.entries == (sigma_by_minors(concrete, phi) if d else ((),))
+
 
 class TestResultantGcd:
     @pytest.mark.parametrize("d1,d2", [(1, 1), (1, 2), (2, 2)])
@@ -1028,6 +1050,7 @@ class TestComplexRoute:
         chosen = (_compatible_blocks(columns, dims, maps, point, ps) for point in _points(phi))
         blocks = next(filter(None, chosen))
         assert [len(rows) for rows, _ in blocks] == _block_rows(dims)
+        assert all(rows > 0 for rows in _block_rows(dims))
 
     @pytest.mark.parametrize(
         "spec, extra, letters",

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from detres import polyring
-from detres.chern_degree import ExistenceError
+from detres.chern_degree import ExistenceError, existence_check
 from detres.polyring import Polynomial, VarSet
 from detres.resultant_engine import (
     build_sigma,
@@ -247,6 +248,15 @@ class TestChowProblem:
         entries = generic_entries(gen)
         assert all(entries[0][i].degree_in(("x0", "x1")) == 2 for i in range(3))
         assert all(entries[1][i].degree_in(("x0", "x1")) == 1 for i in range(3))
+
+    def test_every_scroll_has_a_resultant(self):
+        """chow_problem returns its spec unchecked: every ScrollSpec gives
+        m = n + 1 > n > r = n - 1 >= 0, d_i = 0 > k_j and N = 1."""
+        for blocks in range(1, 5):
+            for degrees in product(range(1, 5), repeat=blocks):
+                p = chow_problem(ScrollSpec(degrees))
+                assert existence_check(p) == (True, [])
+                assert p.N == 1
 
     def test_total_degree_per_block(self):
         from detres.chern_degree import multidegree
