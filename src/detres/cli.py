@@ -9,10 +9,11 @@ resultant (its degree is not the predicted one: a fault), 5 a Lascoux spec
 ``resultant`` and ``chow`` compute the resultant polynomial with
 ``resultant_gcd``: the determinant of the complex whose first differential
 is sigma_d, by Cayley's formula, with ``minors_used`` the number of square
-determinants taken.  Specs with r = 0 (Koszul) and principal specs with
-r = n - 1 (Eagon-Northcott, every Chow form among them) have that complex;
-for the other specs ``resultant`` exits 5 at once, and ``matrix``, ``test``
-and ``complex`` still serve them.
+determinants taken.  That complex is the Eagon-Northcott complex of the
+morphism for principal specs with r = n - 1 (every Chow form among them),
+and of the 1 x mn row of its entries (their Koszul complex) for r = 0; for
+the other specs ``resultant`` exits 5 at once, and ``matrix``, ``test`` and
+``complex`` still serve them.
 """
 
 from __future__ import annotations

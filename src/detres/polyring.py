@@ -238,6 +238,8 @@ class Polynomial:
         return self.varset == other.varset and self.terms == other.terms
 
     def __hash__(self) -> int:
+        if not any(map(any, self.terms)):  # a constant, 0 included, equals its value
+            return hash(sum(self.terms.values()))
         return hash((self.varset, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:

@@ -11,15 +11,16 @@ rank.
 
 ``resultant_gcd`` computes the resultant of the generic morphism as the
 determinant of the degree-d strand of a complex whose first differential is
-sigma_d: the Koszul complex of the m*n entries for r = 0 (sigma_d is their
-Macaulay map), the Eagon-Northcott complex for r = n - 1.  That determinant
-is a quotient of square determinants by Cayley's formula (Gelfand, Kapranov
-& Zelevinsky, 1994, Appendix A).  From the morphism's coefficients to the
-normalized resultant and its degrees, the route runs on packed integer term
-dicts: sigma_d's minors are taken on its entries packed once, in the fields
-of the block determinants; only the resultant becomes a ``Polynomial``
-again.  For 0 < r < n - 1 the complex is Lascoux's, which is not built
-here: ``resultant_gcd`` raises ``LascouxCaseError`` before any matrix is.
+sigma_d: the Eagon-Northcott complex of the morphism for r = n - 1, and for
+r = 0 that of the 1 x mn row of its entries (their Koszul complex, sigma_d
+their Macaulay map).  That determinant is a quotient of square determinants
+by Cayley's formula (Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).
+From the morphism's coefficients to the normalized resultant and its
+degrees, the route runs on packed integer term dicts: sigma_d's minors are
+taken on its entries packed once, in the fields of the block determinants;
+only the resultant becomes a ``Polynomial`` again.  For 0 < r < n - 1 the
+complex is Lascoux's, which is not built here: ``resultant_gcd`` raises
+``LascouxCaseError`` before any matrix is.
 
 The rank test stays on integers: a concrete morphism is cleared of
 denominators by one lcm L and packed once, every Delta_{J,I} is an integer
@@ -608,8 +609,8 @@ def _require_complex(spec: ProblemSpec) -> None:
 def complex_strand(
     spec: ProblemSpec, d: int, phi: GenericMorphism
 ) -> tuple[tuple[int, ...], list[list[list[tuple[int, int, int]]]]]:
-    """The degree-d strand 0 -> K_P -> ... -> K_1 -> K_0 -> 0 of the complex
-    whose first differential D_1 is sigma_d, for r = 0 or r = n - 1.
+    """The degree-d strand 0 -> K_P -> ... -> K_1 -> K_0 -> 0 of the
+    Eagon-Northcott complex whose first differential D_1 is sigma_d.
 
     Returns the dimensions of K_0, ..., K_P and the differentials D_2, ...,
     D_P.  K_0 is the space of degree-d forms and K_1 has the columns of
@@ -618,88 +619,67 @@ def complex_strand(
     index, sign, parameter index), each entry the sign times that one
     parameter of the generic morphism.
 
-    r = 0: the Koszul complex of the m*n entries f_a, a = (j, i) in the
-    order of sigma's columns.  K_p has the basis e_A * mu (A a p-subset of
-    the entries, lexicographic; deg mu = d - sum of deg f_a over A), and
-    ``D_p(e_A mu) = sum_t (-1)^t f_{A_t} mu e_{A - A_t}``.
-
-    r = n - 1: the Eagon-Northcott complex, with K_1 = wedge^n E and
-    K_p = D_{p-1}(F*) (x) wedge^{n+p-1} E for p = 2, ..., m - n + 1 (E has
-    the m columns, F the n rows, D the divided powers).  K_p has the basis
-    e_alpha * e_S * nu (alpha a multiset of size p - 1 in [n], S an
-    (n+p-1)-subset of [m], both lexicographic; deg nu = d - sum of d_i over
-    S + sum k + sum of k_j over alpha), and ``D_p(e_alpha e_S nu) =
-    sum_{j in supp alpha} sum_t (-1)^t phi_{j,S_t} nu e_{alpha-j} e_{S-S_t}``.
-    sigma_d D_2 = 0 is the Laplace expansion of a matrix with a row
-    repeated; in D_{p-1} D_p the two orders of removing a pair of columns
-    cancel, as in the Koszul complex.
+    The complex is that of an n x m matrix phi with phi_{j,i} of degree
+    d_i - k_j: the morphism for r = n - 1, and for r = 0 the 1 x mn row of
+    its entries, a = (j, i) in the order of sigma's columns, with d_a =
+    d_i - k_j and k = (0,) (the Koszul complex of the entries, of which
+    sigma_d is the Macaulay map).  K_1 = wedge^n E and K_p = D_{p-1}(F*) (x)
+    wedge^{n+p-1} E for p = 2, ..., m - n + 1 (E has the m columns, F the n
+    rows, D the divided powers).  K_p has the basis e_alpha * e_S * nu
+    (alpha a multiset of size p - 1 in [n], S an (n+p-1)-subset of [m], both
+    lexicographic; deg nu = d - sum of d_i over S + sum k + sum of k_j over
+    alpha), and ``D_p(e_alpha e_S nu) = sum_{j in supp alpha} sum_t (-1)^t
+    phi_{j,S_t} nu e_{alpha-j} e_{S-S_t}``.  sigma_d D_2 = 0 is the Laplace
+    expansion of a matrix with a row repeated; in D_{p-1} D_p the two orders
+    of removing a pair of columns cancel.
     """
     _require_complex(spec)
-    # Each K_p (p >= 1) as groups (key, degree of mu, faces): the basis
-    # elements e_key * mu, and D_p(e_key mu) = sum of sign * f * mu e_target
-    # over the faces (target key, sign, entry f).
-    if spec.r == 0:
-        gens = [(j, i) for j in range(1, spec.n + 1) for i in range(1, spec.m + 1)]
-        degs = [spec.d[i - 1] - spec.k[j - 1] for j, i in gens]
-        terms = (
-            [
-                (
-                    A,
-                    d - sum(degs[a] for a in A),
-                    [(A[:t] + A[t + 1 :], (-1) ** t, gens[a]) for t, a in enumerate(A)],
-                )
-                for A in combinations(range(len(gens)), p)
-            ]
-            for p in range(1, len(gens) + 1)
-        )
-    else:
-        n, ks = spec.n, sum(spec.k)
-        terms = (
-            [
-                (
-                    (alpha, S),
-                    d - sum(spec.d[i - 1] for i in S) + ks + sum(spec.k[j - 1] for j in alpha),
-                    [
-                        ((alpha[:u] + alpha[u + 1 :], S[:t] + S[t + 1 :]), (-1) ** t, (j, i))
-                        for u, j in enumerate(alpha)
-                        if j not in alpha[:u]  # each j in supp alpha once
-                        for t, i in enumerate(S)
-                    ],
-                )
-                for alpha in combinations_with_replacement(range(1, n + 1), p - 1)
-                for S in combinations(range(1, spec.m + 1), n + p - 1)
-            ]
-            for p in range(1, spec.m - n + 2)
-        )
     entries: dict[tuple[int, int], list] = {}  # (j, i) -> [(exponent, parameter)]
     for t, (j, i, exps) in enumerate(phi.coeff_names):  # parameter t is the t-th name
         entries.setdefault((j, i), []).append((exps, t))
-    nv = spec.N + 1
+    n, m, ds, ks = spec.n, spec.m, spec.d, spec.k
+    if spec.r == 0:  # the row of the entries, (j, i) lexicographic as sigma's columns
+        pairs = sorted(entries)
+        entries = {(1, a): entries[f] for a, f in enumerate(pairs, 1)}
+        n, m, ds, ks = 1, len(pairs), [spec.d[i - 1] - spec.k[j - 1] for j, i in pairs], (0,)
+    nv, memo = spec.N + 1, {}  # memo: degree -> monomials_of_degree(nv, degree)
     dims = [len(monomials_of_degree(nv, d))]
     maps = []
     index: dict = {}
-    for groups in terms:
-        basis = [
-            (key, mu)
-            for key, deg, _ in groups
-            if deg >= 0
-            for mu in monomials_of_degree(nv, deg)
+    for p in range(1, m - n + 2):
+        # K_p as the groups (alpha, S, deg nu) with deg nu >= 0
+        groups = [
+            (alpha, S, deg)
+            for alpha in combinations_with_replacement(range(1, n + 1), p - 1)
+            for base in [d + sum(ks) + sum([ks[j - 1] for j in alpha])]
+            for S in combinations(range(1, m + 1), n + p - 1)
+            if (deg := base - sum([ds[i - 1] for i in S])) >= 0
         ]
-        # Every entry has positive degree, so no later term has a basis.
-        if not basis:
+        # Every entry has positive degree, so no later K_p has a basis.
+        if not groups:
             break
+        for _, _, deg in groups:
+            if deg not in memo:
+                memo[deg] = monomials_of_degree(nv, deg)
         if index:  # D_1 is sigma_d itself
-            faces = {key: f for key, _, f in groups}
-            maps.append(
-                [
-                    [
-                        (index[(target, tuple(map(add, mu, e)))], sign, t)
-                        for target, sign, f in faces[key]
-                        for e, t in entries[f]
-                    ]
-                    for key, mu in basis
+            D = []
+            for alpha, S, deg in groups:
+                faces = [
+                    (alpha[:u] + alpha[u + 1 :], S[:t] + S[t + 1 :], (-1) ** t, entries[(j, i)])
+                    for u, j in enumerate(alpha)
+                    if j not in alpha[:u]  # each j in supp alpha once
+                    for t, i in enumerate(S)
                 ]
-            )
+                D += [
+                    [
+                        (index[(beta, T, tuple(map(add, mu, e)))], sign, param)
+                        for beta, T, sign, f in faces
+                        for e, param in f
+                    ]
+                    for mu in memo[deg]
+                ]
+            maps.append(D)
+        basis = [(alpha, S, mu) for alpha, S, deg in groups for mu in memo[deg]]
         dims.append(len(basis))
         index = {b: c for c, b in enumerate(basis)}
     return tuple(dims), maps

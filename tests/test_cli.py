@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -483,3 +484,21 @@ class TestLazyImports:
         assert "chow_form" not in vars(detres)
         with pytest.raises(AttributeError):
             detres.no_such_name
+
+
+class TestStdlibOnly:
+    def test_every_absolute_import_is_stdlib(self):
+        """The runtime is stdlib-only: every absolute import in the package
+        names a top-level module of the standard library."""
+        paths = sorted(Path(detres.__file__).parent.glob("*.py"))
+        assert paths
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:  # level > 0: relative
+                    modules = [node.module]
+                else:
+                    continue
+                for module in modules:
+                    assert module.partition(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, module)

@@ -113,6 +113,15 @@ class TestArithmetic:
         assert Polynomial.constant(XY, Fraction(-2, 3)) ** 3 == Fraction(-8, 27)
         assert (Fraction(1, 2) * X * Y + 1) ** 2 == Fraction(1, 4) * X * X * Y * Y + X * Y + 1
 
+    @pytest.mark.parametrize("value", [3, 0, Fraction(1, 2)])
+    def test_constant_hashes_as_its_value(self, value):
+        """A constant polynomial equals its value, so it hashes as it: a set
+        of the two holds one element."""
+        for varset in (VarSet(["x"]), XY):
+            c = Polynomial.constant(varset, value)
+            assert c == value and hash(c) == hash(value)
+            assert len({value, c}) == 1 and {c: 1}[value] == 1
+
     def test_ring_axioms_random(self):
         rng = random.Random(101)
         for _ in range(30):

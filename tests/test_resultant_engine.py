@@ -2,7 +2,9 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import lcm, prod
+from operator import add
 
 import pytest
 
@@ -930,8 +932,9 @@ def spec_id(spec):
     return f"{spec.m}{spec.n}{spec.r}-d{''.join(map(str, spec.d))}-k{''.join(map(str, spec.k))}"
 
 
-#: Specs with small strands: Koszul (r = 0) and Eagon-Northcott (r = n - 1,
-#: with m = n + 1 and with m >= n + 2).
+#: Specs with small strands, all Eagon-Northcott: of the 1 x mn row of the
+#: entries for r = 0 (their Koszul complex), of the morphism for r = n - 1
+#: (with m = n + 1 and with m >= n + 2).
 STRAND_SPECS = [
     sylvester_spec(1, 2),
     ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
@@ -996,8 +999,10 @@ class TestComplexStrand:
 
 
 #: (spec, degree above nu, letter names): the acceptance goldens, the six
-#: ``resultant`` benchmark inputs, the Chow forms of small scrolls and a
-#: principal spec with m = n + 2 (a square 6x6 sigma_d, 60,600 terms).
+#: ``resultant`` benchmark inputs, the Chow forms of small scrolls, a
+#: principal spec with m = n + 2 (a square 6x6 sigma_d, 60,600 terms) and an
+#: r = 0 spec with n = 2 above nu (strand dims (10, 16, 6); at nu + 2 the
+#: minors oracle takes half a minute).
 COMPLEX_CASES = [
     (sylvester_spec(1, 1), 0, False),
     (sylvester_spec(1, 2), 0, False),
@@ -1014,7 +1019,62 @@ COMPLEX_CASES = [
     (chow_spec(2, 1), 0, True),
     (chow_spec(1, 2), 0, True),
     (ProblemSpec(4, 2, 1, (1, 1, 1, 1), (0, 0)), 0, False),
+    (ProblemSpec(2, 2, 0, (1, 1), (0, 0)), 1, False),
 ]
+
+
+def koszul_strand(spec, d, phi):
+    """``complex_strand``'s output for r = 0, built as the Koszul complex of
+    the m*n entries f_a, a = (j, i) in the order of sigma's columns: K_p has
+    the basis e_A * mu (A a p-subset of the entries, lexicographic; deg mu =
+    d - sum of deg f_a over A), and ``D_p(e_A mu) = sum_t (-1)^t f_{A_t} mu
+    e_{A - A_t}``."""
+    gens = [(j, i) for j in range(1, spec.n + 1) for i in range(1, spec.m + 1)]
+    degs = [spec.d[i - 1] - spec.k[j - 1] for j, i in gens]
+    entries = {}
+    for t, (j, i, exps) in enumerate(phi.coeff_names):
+        entries.setdefault((j, i), []).append((exps, t))
+    nv = spec.N + 1
+    dims, maps, index = [len(monomials_of_degree(nv, d))], [], {}
+    for p in range(1, len(gens) + 1):
+        basis = [
+            (A, mu)
+            for A in combinations(range(len(gens)), p)
+            if d >= sum(degs[a] for a in A)
+            for mu in monomials_of_degree(nv, d - sum(degs[a] for a in A))
+        ]
+        if not basis:
+            break
+        if index:
+            maps.append(
+                [
+                    [
+                        (index[(A[:t] + A[t + 1 :], tuple(map(add, mu, e)))], (-1) ** t, param)
+                        for t, a in enumerate(A)
+                        for e, param in entries[gens[a]]
+                    ]
+                    for A, mu in basis
+                ]
+            )
+        dims.append(len(basis))
+        index = {b: c for c, b in enumerate(basis)}
+    return tuple(dims), maps
+
+
+#: The r = 0 specs of the strand and route tests.
+KOSZUL_SPECS = [spec for spec in dict.fromkeys(STRAND_SPECS + [c[0] for c in COMPLEX_CASES]) if spec.r == 0]
+
+
+class TestKoszulStrand:
+    @pytest.mark.parametrize("spec", KOSZUL_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_r0_strand_is_the_koszul_strand(self, spec, extra):
+        """For r = 0 the Eagon-Northcott strand of the 1 x mn row is the
+        Koszul strand of the entries, basis and order alike: the (j, i) order
+        of the row fixes the block columns and ``minor_columns``."""
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        assert complex_strand(spec, d, phi) == koszul_strand(spec, d, phi)
 
 
 #: The COMPLEX_CASES whose strand has a differential after sigma_d.
