@@ -44,10 +44,12 @@ class InputError(Exception):
 
 
 def _load_json(path: str):
+    """The JSON in ``path``; a file that is not UTF-8 (``ValueError``, as is
+    bad JSON) or nests too deep for the parser is an ``InputError``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -371,9 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # Exact numbers may pass the int/str digit limit (Python 3.11+): lift it
+    # while main runs, and restore it for a caller in the same process.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -388,6 +394,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,6 +37,7 @@ from functools import cache, reduce
 from struct import Struct
 from itertools import combinations_with_replacement
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -104,13 +105,14 @@ def glex_key(exps: Exponent) -> tuple[int, Exponent]:
     return (sum(exps), exps)
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
+@cache
+def monomials_of_degree(nvars: int, d: int) -> tuple[Exponent, ...]:
     """All exponent tuples of total degree ``d`` in ``nvars`` variables.
 
     The count is ``binomial(d + nvars - 1, nvars - 1)``.  The variables of
     the d unit increments come in lexicographic order, so the tuples come
     lex-descending, which at one degree is graded-lex descending (``x**d``
-    first).
+    first).  Each basis is built once per process and shared.
     """
     if nvars < 1:
         raise PolyError("nvars must be >= 1")
@@ -122,7 +124,7 @@ def monomials_of_degree(nvars: int, d: int) -> list[Exponent]:
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return out
+    return tuple(out)
 
 
 class Polynomial:
@@ -564,6 +566,14 @@ def _pack(terms: Mapping[Exponent, object], nvars: int, s: int) -> IntDict:
     """Exponent-tuple terms with packed exponents, in fields of ``s`` bits."""
     pack = _layout(nvars, s).pack
     return {int.from_bytes(pack(sum(e), *e), "big"): c for e, c in terms.items()}
+
+
+@cache
+def _packed_index(nvars: int, d: int, s: int) -> Mapping[int, int]:
+    """The position of each monomial of ``monomials_of_degree(nvars, d)`` by
+    its packed key in fields of ``s`` bits, in basis order; built once per
+    process and shared, so it is a read-only view."""
+    return MappingProxyType(_pack({e: r for r, e in enumerate(monomials_of_degree(nvars, d))}, nvars, s))
 
 
 def _unpack(terms: IntDict, nvars: int, s: int) -> dict:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import isqrt, lcm, prod
 from operator import add
@@ -69,6 +69,7 @@ from .polyring import (
     _layout,
     _normalize_int_dict,
     _pack,
+    _packed_index,
     _unpack,
     monomials_of_degree,
 )
@@ -280,11 +281,14 @@ def _sigma_columns(
     """The layout of sigma_d: row basis, column keys, columns, the count of
     omitted column groups and the scale of the columns.  phi's entries are
     packed once, and each Delta_{J,I} is a ``_det_packed`` minor of them,
-    scattered into rows.  A generic column lists per row a packed term dict
-    over the parameters in nparams + 1 fields of ``ps`` bits (given for a
-    generic phi), as block 1 of ``resultant_gcd`` takes it: one {}
-    for its zero cells, the cells of a Delta_{J,I} shared by its columns;
-    its scale is 1.  A concrete column lists integer cells: phi's entries
+    scattered into rows by the packed key of each row monomial.  The row
+    basis, each mu's basis and their packed indexes come from the
+    process-wide caches ``monomials_of_degree`` and ``_packed_index``, keyed
+    by (nvars, degree, field width) alone.  A generic column lists per row a
+    packed term dict over the parameters in nparams + 1 fields of ``ps``
+    bits (given for a generic phi), as block 1 of ``resultant_gcd`` takes
+    it: one {} for its zero cells, the cells of a Delta_{J,I} shared by its
+    columns; its scale is 1.  A concrete column lists integer cells: phi's entries
     are cleared of denominators by one lcm L, so every column is the true
     one times the scale L^(r+1)."""
     require_existence(spec)
@@ -294,8 +298,7 @@ def _sigma_columns(
         raise PolyError("degree must be >= 0")
     nv = spec.N + 1
     symbolic = isinstance(phi, GenericMorphism)
-    monomials = cache(lambda deg: monomials_of_degree(nv, deg))
-    row_basis = tuple(monomials(d))
+    row_basis = monomials_of_degree(nv, d)
     # Entry (j, i) has degree d_i - k_j, at most this bound and at least 1, so a minor
     # _det_packed forms inside a kept Delta_{J,I} has degree <= d - deg mu <= d.
     s = _field_bits(max(d, max(spec.d) - min(spec.k)))
@@ -314,8 +317,7 @@ def _sigma_columns(
         cleared, scale = _clear_denominators(*[p.terms for row in phi.entries for p in row])
         packed = [[_pack(t, nv, s) for t in cleared[j : j + spec.m]] for j in range(0, len(cleared), spec.m)]
     zero = {} if symbolic else 0
-    row_index = _pack({e: r for r, e in enumerate(row_basis)}, nv, s)
-    keys = cache(lambda deg: list(_pack(dict.fromkeys(monomials(deg)), nv, s)))
+    row_index = _packed_index(nv, d, s)
     col_basis: list[ColKey] = []
     columns: list = []
     omitted = 0
@@ -331,7 +333,7 @@ def _sigma_columns(
                 for key, c in delta.items():
                     cells.setdefault(key >> low, {})[key & (1 << low) - 1] = c
                 delta = cells
-            for mu, key in zip(monomials(mu_deg), keys(mu_deg)):
+            for mu, key in zip(monomials_of_degree(nv, mu_deg), _packed_index(nv, mu_deg, s)):
                 col = [zero] * len(row_basis)
                 for e, c in delta.items():
                     col[row_index[e + key]] = c
@@ -631,7 +633,9 @@ def complex_strand(
     alpha), and ``D_p(e_alpha e_S nu) = sum_{j in supp alpha} sum_t (-1)^t
     phi_{j,S_t} nu e_{alpha-j} e_{S-S_t}``.  sigma_d D_2 = 0 is the Laplace
     expansion of a matrix with a row repeated; in D_{p-1} D_p the two orders
-    of removing a pair of columns cancel.
+    of removing a pair of columns cancel.  The monomials nu of each degree
+    come from the process-wide cache of ``monomials_of_degree``, so a strand
+    lists no basis that an earlier call in the process has listed.
     """
     _require_complex(spec)
     entries: dict[tuple[int, int], list] = {}  # (j, i) -> [(exponent, parameter)]
@@ -642,7 +646,7 @@ def complex_strand(
         pairs = sorted(entries)
         entries = {(1, a): entries[f] for a, f in enumerate(pairs, 1)}
         n, m, ds, ks = 1, len(pairs), [spec.d[i - 1] - spec.k[j - 1] for j, i in pairs], (0,)
-    nv, memo = spec.N + 1, {}  # memo: degree -> monomials_of_degree(nv, degree)
+    nv = spec.N + 1
     dims = [len(monomials_of_degree(nv, d))]
     maps = []
     index: dict = {}
@@ -658,9 +662,6 @@ def complex_strand(
         # Every entry has positive degree, so no later K_p has a basis.
         if not groups:
             break
-        for _, _, deg in groups:
-            if deg not in memo:
-                memo[deg] = monomials_of_degree(nv, deg)
         if index:  # D_1 is sigma_d itself
             D = []
             for alpha, S, deg in groups:
@@ -676,10 +677,10 @@ def complex_strand(
                         for beta, T, sign, f in faces
                         for e, param in f
                     ]
-                    for mu in memo[deg]
+                    for mu in monomials_of_degree(nv, deg)
                 ]
             maps.append(D)
-        basis = [(alpha, S, mu) for alpha, S, deg in groups for mu in memo[deg]]
+        basis = [(alpha, S, mu) for alpha, S, deg in groups for mu in monomials_of_degree(nv, deg)]
         dims.append(len(basis))
         index = {b: c for c, b in enumerate(basis)}
     return tuple(dims), maps

@@ -1,9 +1,12 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -411,6 +414,84 @@ class TestComplex:
         data = json.loads(capsys.readouterr().out)
         assert data["schema"] == "detres/1"
         assert {t["p"] for t in data["terms"]} == {-2, -1, 0}
+
+
+BAD_FILES = {
+    "not-utf8": b"\xff\xfe",
+    "too-deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("kind", BAD_FILES)
+@pytest.mark.parametrize("role", ["spec", "phi", "plane"])
+def test_unreadable_json_exits_two(spec_file, tmp_path, capsys, role, kind):
+    """A file that is not UTF-8 or nests past the parser's depth is invalid
+    input: exit 2 with one error line, whichever argument names it."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_FILES[kind])
+    argv = {
+        "spec": ["degree", "--spec", str(bad)],
+        "phi": ["test", "--spec", spec_file("s.json", SYL11), "--phi", str(bad)],
+        "plane": ["chow-test", "--scroll", "2,1", "--plane", str(bad)],
+    }[role]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: ") and captured.err.count("\n") == 1
+
+
+def digit_limit():
+    """Python's int/str digit limit (3.11+), or None where it has none."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int/str digit limit for the block."""
+    limit = digit_limit()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestExactBigNumbers:
+    """Exact numbers past the int/str digit limit go in and come out whole,
+    and ``main`` leaves the limit as it found it."""
+
+    def test_degree_of_a_5000_digit_degree(self, spec_file, capsys):
+        big = 10**5000
+        with no_digit_limit():
+            path = spec_file("s.json", {"m": 2, "n": 1, "r": 0, "d": [1, big], "k": [0]})
+        limit = digit_limit()
+        assert main(["degree", "--spec", path, "--json"]) == 0
+        assert digit_limit() == limit
+        with no_digit_limit():
+            data = json.loads(capsys.readouterr().out)
+        assert data["multidegree"] == [big, 1]
+        assert data["total_degree"] == big + 1
+
+    def test_matrix_of_3000_digit_coefficients(self, spec_file, tmp_path, capsys):
+        rng, lo, hi = random.Random(3000), 10**2999, 10**3000
+        phi = make_phi([[(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(3)] for _ in range(2)])
+        path = spec_file("s.json", {"m": 3, "n": 2, "r": 1, "d": [1, 1, 1], "k": [0, 0]})
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps(phi_json(phi)))
+        limit = digit_limit()
+        assert main(["matrix", "--spec", path, "--phi", str(phi_path), "--json"]) == 0
+        assert digit_limit() == limit
+        with no_digit_limit():
+            data = json.loads(capsys.readouterr().out)
+            cells = [[Fraction(c) for c in row] for row in data["entries"]]
+        assert data["col_basis"] == [{"J": [1, 2], "I": list(I), "mu": [0, 0]} for I in ([1, 2], [1, 3], [2, 3])]
+        for c, I in enumerate(([0, 1], [0, 2], [1, 2])):
+            minor = phi[0][I[0]] * phi[1][I[1]] - phi[0][I[1]] * phi[1][I[0]]
+            assert [row[c] for row in cells] == [minor.terms.get(tuple(e), 0) for e in data["row_basis"]]
+        # past the default limit of 4300 digits, about 14284 bits
+        assert max(abs(c.numerator).bit_length() for row in cells for c in row) > 14300
 
 
 #: The names ``detres`` re-exported from its modules before it loaded them

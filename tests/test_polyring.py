@@ -24,6 +24,7 @@ from detres.polyring import (
     _mul_tuples,
     _normalize_int_dict,
     _pack,
+    _packed_index,
     _prem,
     _unpack,
     det_fraction_free,
@@ -52,7 +53,7 @@ def random_poly(rng, varset, max_deg=3, nterms=4):
 
 class TestMonomials:
     def test_two_vars_degree_two(self):
-        assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
 
     def test_two_vars_degree_four_count(self):
         # matches the 5 rows of the degree-4 basis on the projective line
@@ -68,7 +69,7 @@ class TestMonomials:
             if a + b + c + e == 3
         }
         got = monomials_of_degree(4, 3)
-        assert len(got) == 20
+        assert type(got) is tuple and len(got) == 20
         assert set(got) == brute
 
     def test_counts_and_distinctness(self):
@@ -80,7 +81,7 @@ class TestMonomials:
                 assert all(sum(e) == d for e in ms)
 
     def test_degree_zero(self):
-        assert monomials_of_degree(3, 0) == [(0, 0, 0)]
+        assert monomials_of_degree(3, 0) == ((0, 0, 0),)
 
     def test_bad_arguments(self):
         with pytest.raises(PolyError, match=r"^nvars must be >= 1$"):
@@ -92,7 +93,7 @@ class TestMonomials:
         for nvars in range(1, 7):
             for d in range(0, 8):
                 ms = monomials_of_degree(nvars, d)
-                assert ms == sorted(ms, key=glex_key, reverse=True)
+                assert ms == tuple(sorted(ms, key=glex_key, reverse=True))
 
 
 class TestArithmetic:
@@ -637,6 +638,19 @@ class TestPackedKernel:
         for s in (8, 16, 32, 64):
             e = (0, 2**(s - 2), 3, 0)
             assert _unpack(_pack({e: 1}, 4, s), 4, s) == {e: 1}
+
+    @pytest.mark.parametrize("nv", [1, 2, 4])
+    def test_packed_index_is_the_packed_basis(self, nv):
+        for d in range(5):
+            basis = monomials_of_degree(nv, d)
+            for s in (8, 16, 32):
+                index = _packed_index(nv, d, s)
+                packed = _pack({e: r for r, e in enumerate(basis)}, nv, s)
+                assert list(index.items()) == list(packed.items())
+                assert list(index.values()) == list(range(len(basis)))
+                assert index is _packed_index(nv, d, s)
+                with pytest.raises(TypeError):
+                    index[0] = 0  # shared by every caller
 
     @pytest.mark.parametrize("nv", [1, 2, 3, 5])
     def test_sorted_packed_is_glex(self, nv):

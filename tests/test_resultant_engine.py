@@ -15,6 +15,7 @@ from detres.polyring import (
     Polynomial,
     VarSet,
     _field_bits,
+    _packed_index,
     monomials_of_degree,
     normalize_gcd_style,
 )
@@ -813,19 +814,39 @@ class TestConcreteSigma:
         assert calls == [result.rows]
 
     @pytest.mark.parametrize("generic", [False, True])
-    def test_monomials_listed_once_per_degree(self, monkeypatch, generic):
+    def test_monomials_listed_once_per_degree(self, generic):
+        """The monomial bases and their packed indexes are built once per
+        process: a first build_sigma lists the rows' basis and the mu's once
+        each, a second lists none."""
         spec = self.SPECS[0]
         phi = generic_morphism(spec) if generic else rational_morphism(spec, random.Random(3))
-        degrees = []
-
-        def counted(nvars, d):
-            degrees.append(d)
-            return monomials_of_degree(nvars, d)
-
-        monkeypatch.setattr(resultant_engine, "monomials_of_degree", counted)
+        monomials_of_degree.cache_clear()
+        _packed_index.cache_clear()
         sigma = build_sigma(spec, critical_degree(spec), phi)
         assert sigma.shape == (20, 36)  # 9 column groups, each of degree 1
-        assert sorted(degrees) == [1, 3]
+        # two bases, degree 3 (the rows) and 1 (every mu), and their indexes
+        assert monomials_of_degree.cache_info().misses == 2
+        assert _packed_index.cache_info().misses == 2
+        assert build_sigma(spec, critical_degree(spec), phi) == sigma
+        assert monomials_of_degree.cache_info().misses == 2
+        assert _packed_index.cache_info().misses == 2
+
+    @pytest.mark.parametrize("call", ["build_sigma", "resultant_gcd", "complex_strand"])
+    def test_second_call_lists_no_basis(self, call):
+        spec = self.SPECS[3]  # a principal spec: it has a complex
+        d = critical_degree(spec) + 1
+        run = {
+            "build_sigma": lambda: build_sigma(spec, d, generic_morphism(spec)),
+            "resultant_gcd": lambda: resultant_gcd(spec, d),
+            "complex_strand": lambda: complex_strand(spec, d, generic_morphism(spec)),
+        }[call]
+        monomials_of_degree.cache_clear()
+        _packed_index.cache_clear()
+        first = run()
+        misses = monomials_of_degree.cache_info().misses, _packed_index.cache_info().misses
+        assert misses[0] > 0
+        assert run() == first
+        assert (monomials_of_degree.cache_info().misses, _packed_index.cache_info().misses) == misses
 
 
 def test_no_cyclic_garbage():
