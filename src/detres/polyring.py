@@ -547,7 +547,10 @@ def _dict_try_div(p: IntDict, d: IntDict, s: int) -> IntDict | None:
 
 
 def _field_bits(bound: int) -> int:
-    """The field size s = w + 1 (8, 16, 32 or 64) for degrees up to ``bound``."""
+    """The field size s = w + 1 (8, 16, 32 or 64) for degrees up to ``bound``;
+    a bound of 2^63 or more fits no field, and raises."""
+    if bound >> 63:
+        raise PolyError(f"degree {bound} is too large: exponents and degrees must stay below 2^63")
     return 8 << (bound.bit_length() // 8).bit_length()
 
 

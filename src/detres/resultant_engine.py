@@ -149,6 +149,17 @@ def generic_morphism(
     return GenericMorphism(spec=spec, param_names=tuple(coeff_names.values()), coeff_names=coeff_names)
 
 
+def _morphism_at(phi: GenericMorphism, values: Sequence[Fraction | int]) -> ConcreteMorphism:
+    """The concrete morphism whose coefficient of monomial ``e`` in entry
+    (j, i) is ``values[t]``, for (j, i, e) the t-th key of ``phi.coeff_names``."""
+    spec = phi.spec
+    varset = VarSet(geometric_names(spec))
+    terms: list[list[dict]] = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
+    for (j, i, e), v in zip(phi.coeff_names, values, strict=True):
+        terms[j - 1][i - 1][e] = v
+    return ConcreteMorphism(spec, varset, tuple(tuple(Polynomial(varset, t) for t in row) for row in terms))
+
+
 class _ConcreteMorphism(NamedTuple):
     spec: ProblemSpec
     varset: VarSet
@@ -870,26 +881,16 @@ def vanish_test(
 def staircase_specialization(spec: ProblemSpec) -> ConcreteMorphism:
     """The monomial morphism of full rank at every point (principal case).
 
-    Entry (j, i) is ``x_{i-j}^(d_i - k_j)`` on the band ``j <= i <= j +
-    (m - n)`` and zero elsewhere; its sigma matrix has full row rank, so
-    the resultant does not vanish on it.
+    The generic morphism at the 0/1 vector that is 1 exactly on the pure
+    powers of the band: entry (j, i) is ``x_{i-j}^(d_i - k_j)`` for ``j <= i
+    <= j + (m - n)`` and zero elsewhere.  Its sigma matrix has full row rank,
+    so the resultant does not vanish on it.
     """
     require_existence(spec)
     if spec.r != spec.n - 1:
         raise ExistenceError("staircase specialization needs the principal case")
-    geo = geometric_names(spec)
-    varset = VarSet(geo)
-    nv = len(geo)
-    rows = []
-    for j in range(1, spec.n + 1):
-        row = []
-        for i in range(1, spec.m + 1):
-            off = i - j
-            if 0 <= off <= spec.m - spec.n:
-                e = [0] * nv
-                e[off] = spec.d[i - 1] - spec.k[j - 1]
-                row.append(Polynomial.monomial(varset, tuple(e)))
-            else:
-                row.append(Polynomial.zero(varset))
-        rows.append(tuple(row))
-    return ConcreteMorphism(spec=spec, varset=varset, entries=tuple(rows))
+    phi = generic_morphism(spec)
+    band = spec.m - spec.n
+    return _morphism_at(
+        phi, [int(0 <= i - j <= band and e[i - j] == sum(e)) for j, i, e in phi.coeff_names]
+    )

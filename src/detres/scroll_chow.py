@@ -26,8 +26,8 @@ from .resultant_engine import (
     ConcreteMorphism,
     GenericMorphism,
     ResultantOutput,
+    _morphism_at,
     generic_morphism,
-    geometric_names,
     letter_naming,
     rational_det,
     rational_rank,
@@ -77,10 +77,6 @@ class ScrollSpec(_ScrollSpec):
             for i, d in enumerate(self.degrees, start=1)
             for j in range(d + 1)
         )
-
-    def block_offset(self, i: int) -> int:
-        """Index of X_{i,0} within the coordinate list (i is 1-based)."""
-        return sum(d + 1 for d in self.degrees[: i - 1])
 
 
 def scroll_matrix(spec: ScrollSpec) -> list[list[Polynomial]]:
@@ -202,32 +198,21 @@ def plucker_coords(plane: PlaneStiefel) -> tuple[Fraction, ...]:
 
 
 def plane_morphism(spec: ScrollSpec, plane: PlaneStiefel) -> ConcreteMorphism:
-    """Restrict the plane's linear forms along the scroll parametrization.
+    """The plane's Chow morphism: the generic Chow morphism at the plane's
+    Stiefel entries.
 
-    Row t of the result collects, per scroll block i, the binary form
-    ``sum_j plane[t][offset(i) + j] * x^(d_i - j) * y^j``; the transposed
-    matrix is the concrete Chow morphism of the plane.
+    The generic Chow morphism's parameters come in the plane's row-major
+    order: one matrix column per plane row, then scroll block i, then the
+    monomial ``x0^(d_i - j) * x1^j``, whose coefficient is the plane's entry
+    at X_{i,j}.  So each column holds one of the plane's linear forms
+    restricted along the scroll parametrization, a binary form per block.
     """
     rows, cols = plane.shape
     if rows != spec.r + 1:
         raise PolyError(f"plane must have {spec.r + 1} rows")
     if cols != spec.N + 1:
         raise PolyError(f"plane rows must have {spec.N + 1} entries")
-    problem = chow_problem(spec)
-    varset = VarSet(geometric_names(problem))
-    entries = []
-    for i, d in enumerate(spec.degrees, start=1):
-        off = spec.block_offset(i)
-        row = []
-        for t in range(spec.r + 1):
-            terms = {}
-            for j in range(d + 1):
-                c = plane.rows[t][off + j]
-                if c:
-                    terms[(d - j, j)] = terms.get((d - j, j), Fraction(0)) + c
-            row.append(Polynomial(varset, terms))
-        entries.append(tuple(row))
-    return ConcreteMorphism(spec=problem, varset=varset, entries=tuple(entries))
+    return _morphism_at(chow_generic_morphism(spec), [v for row in plane.rows for v in row])
 
 
 def plane_meets_scroll(spec: ScrollSpec, plane: PlaneStiefel) -> bool:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from detres.chern_degree import ProblemSpec, multidegree, total_degree
-from detres.partition_schur import complex_terms, conc, dual, trim
+from detres.partition_schur import complex_terms, dual, trim
 from detres.polyring import (
     Polynomial,
     VarSet,

@@ -474,6 +474,15 @@ class TestExactBigNumbers:
         assert data["multidegree"] == [big, 1]
         assert data["total_degree"] == big + 1
 
+    def test_matrix_of_a_degree_past_2_to_63(self, spec_file, tmp_path, capsys):
+        # packed exponents hold degrees below 2^63: past that, one error line
+        path = spec_file("s.json", {"m": 2, "n": 1, "r": 0, "d": [2**70, 1], "k": [0]})
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps([[monomial_json(["x0", "x1"], [2**70, 0]), monomial_json(["x0", "x1"], [0, 1])]]))
+        assert main(["matrix", "--spec", path, "--phi", str(phi), "--degree", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree ") and err.count("\n") == 1
+
     def test_matrix_of_3000_digit_coefficients(self, spec_file, tmp_path, capsys):
         rng, lo, hi = random.Random(3000), 10**2999, 10**3000
         phi = make_phi([[(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(3)] for _ in range(2)])
@@ -583,3 +592,25 @@ class TestStdlibOnly:
                     continue
                 for module in modules:
                     assert module.partition(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, module)
+
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_used(self):
+        """Every name that a module of the package or of the tests imports is
+        used in that module; ``from __future__ import annotations`` is a
+        compiler directive, not a name."""
+        paths = sorted(Path(detres.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+        assert len(paths) > 2
+        unused = []
+        for path in paths:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    bound = [a.asname or a.name for a in node.names]
+                else:
+                    continue
+                unused += [(path.name, node.lineno, name) for name in bound if name not in used]
+        assert not unused, unused

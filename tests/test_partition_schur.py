@@ -5,7 +5,6 @@ import pytest
 
 from detres.partition_schur import (
     INFINITY,
-    ComplexTerm,
     PartitionError,
     check_partition,
     complex_terms,

@@ -3,7 +3,6 @@ import heapq
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
 from operator import add, sub
 from pathlib import Path
 
@@ -678,6 +677,15 @@ class TestPackedKernel:
                 want = tuple_mul(want, a)
             vs = VarSet(f"v{i}" for i in range(nv))
             assert (Polynomial(vs, a) ** k).terms == want
+
+    def test_degree_past_widest_field_raises(self):
+        # 64-bit fields hold degrees up to 2^63 - 1 under their guard bits
+        vs = VarSet(["x", "y"])
+        p, x = Polynomial.monomial(vs, (2**62, 0)), Polynomial.variable(vs, "x")
+        assert (p * Polynomial.monomial(vs, (2**62 - 1, 0))).terms == {(2**63 - 1, 0): 1}
+        for compute in (lambda: p * p, lambda: x ** 2**63, lambda: det_fraction_free([[p, x], [x, p]])):
+            with pytest.raises(PolyError, match=r"^degree 9223372036854775808 is too large"):
+                compute()
 
     def test_exponent_at_field_maximum(self):
         # 127 is the largest value of a one-byte field below its guard bit

@@ -2,14 +2,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm, prod
 from operator import add
 
 import pytest
 
 from detres import polyring, resultant_engine
-from detres.chern_degree import ExistenceError, ProblemSpec, multidegree, total_degree
+from detres.chern_degree import ExistenceError, ProblemSpec, existence_check, multidegree, total_degree
 from detres.polyring import (
     PolyError,
     Polynomial,
@@ -26,6 +26,7 @@ from detres.resultant_engine import (
     _block_rows,
     _columns_at,
     _compatible_blocks,
+    _morphism_at,
     _points,
     _sigma_columns,
     build_sigma,
@@ -34,7 +35,6 @@ from detres.resultant_engine import (
     critical_degree,
     default_naming,
     generic_morphism,
-    geometric_names,
     letter_naming,
     rational_det,
     rational_rank,
@@ -388,6 +388,31 @@ class TestStaircase:
     def test_non_principal_rejected(self):
         with pytest.raises(ExistenceError):
             staircase_specialization(ProblemSpec(2, 2, 0, (1, 1), (0, -1)))
+
+    def test_entries_on_every_small_principal_spec(self):
+        """Entry (j, i) is x_{i-j}^(d_i - k_j) on the band 0 <= i - j <= m - n
+        and zero off it, on every valid principal spec with m <= 4, d_i in
+        [-1, 2] and k_j in [-2, 0]."""
+        swept = 0
+        for m in range(2, 5):
+            for n in range(1, m):
+                for d in product(range(-1, 3), repeat=m):
+                    for k in product(range(-2, 1), repeat=n):
+                        spec = ProblemSpec(m, n, n - 1, d, k)
+                        if not existence_check(spec)[0]:
+                            continue
+                        st = staircase_specialization(spec)
+                        vs = VarSet(f"x{t}" for t in range(spec.N + 1))
+                        for j in range(1, n + 1):
+                            for i in range(1, m + 1):
+                                want = Polynomial.zero(vs)
+                                if 0 <= i - j <= m - n:
+                                    e = [0] * len(vs)
+                                    e[i - j] = d[i - 1] - k[j - 1]
+                                    want = Polynomial.monomial(vs, tuple(e))
+                                assert st.entry(j, i) == want, (spec, j, i)
+                        swept += 1
+        assert swept == 2372
 
 
 def gaussian_row_echelon(matrix):
@@ -1377,14 +1402,7 @@ def integer_values(gen, rng):
 
 def morphism_at(gen, values):
     """The concrete morphism whose coefficients are ``values``, by name."""
-    spec = gen.spec
-    varset = VarSet(geometric_names(spec))
-    terms = [[{} for _ in range(spec.m)] for _ in range(spec.n)]
-    for (j, i, exps), name in gen.coeff_names.items():
-        terms[j - 1][i - 1][exps] = Fraction(values[name])
-    return ConcreteMorphism(
-        spec, varset, tuple(tuple(Polynomial(varset, t) for t in row) for row in terms)
-    )
+    return _morphism_at(gen, [values[name] for name in gen.param_names])
 
 
 class TestNumericCayley:

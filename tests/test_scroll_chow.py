@@ -354,6 +354,22 @@ class TestIncidence:
         assert diag["stiefel_rank"] == 2
 
 
+class TestPlaneMorphism:
+    @pytest.mark.parametrize("degrees", [(1,), (2, 1), (1, 2), (2, 2), (1, 1, 1), (1, 1, 1, 1)])
+    def test_stiefel_entries_are_chow_coefficients(self, degrees):
+        """The plane's Chow morphism is the generic Chow morphism at the
+        plane's Stiefel entries, read row by row."""
+        spec = ScrollSpec(degrees)
+        gen = chow_generic_morphism(spec)
+        rng = random.Random(repr(degrees))
+        for _ in range(8):
+            plane = PlaneStiefel(
+                [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(spec.N + 1)] for _ in range(spec.r + 1)]
+            )
+            flat = [v for row in plane.rows for v in row]
+            assert parameter_assignment(gen, plane_morphism(spec, plane)) == dict(zip(gen.param_names, flat))
+
+
 class TestChowForm:
     def test_s11_degrees(self):
         out = chow_form(ScrollSpec((1, 1)))
