@@ -118,6 +118,7 @@ def monomials_of_degree(nvars: int, d: int) -> tuple[Exponent, ...]:
         raise PolyError("nvars must be >= 1")
     if d < 0:
         raise PolyError("degree must be >= 0")
+    _field_bits(d)  # raises for d >= 2^63, past any basis and any packed field
     out = []
     for combo in combinations_with_replacement(range(nvars), d):
         e = [0] * nvars
@@ -226,11 +227,13 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise PolyError("negative powers are not supported")
-        if k == 0:
-            return Polynomial.constant(self.varset, 1)
         nv, s = len(self.varset), _field_bits(k * max(map(sum, self.terms), default=0))
-        packed = [_pack(self.terms, nv, s)] * k
-        return Polynomial(self.varset, _unpack(reduce(_dict_mul, packed), nv, s))
+        packed, out = _pack(self.terms, nv, s), {0: 1}  # {0: 1} is the packed 1
+        for bit in bin(k)[2:]:  # square and multiply, from k's top bit down
+            out = _dict_mul(out, out)
+            if bit == "1":
+                out = _dict_mul(out, packed)
+        return Polynomial(self.varset, _unpack(out, nv, s))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

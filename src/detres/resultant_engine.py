@@ -14,13 +14,17 @@ determinant of the degree-d strand of a complex whose first differential is
 sigma_d: the Eagon-Northcott complex of the morphism for r = n - 1, and for
 r = 0 that of the 1 x mn row of its entries (their Koszul complex, sigma_d
 their Macaulay map).  That determinant is a quotient of square determinants
-by Cayley's formula (Gelfand, Kapranov & Zelevinsky, 1994, Appendix A).
-From the morphism's coefficients to the normalized resultant and its
-degrees, the route runs on packed integer term dicts: sigma_d's minors are
-taken on its entries packed once, in the fields of the block determinants;
-only the resultant becomes a ``Polynomial`` again.  For 0 < r < n - 1 the
-complex is Lascoux's, which is not built here: ``resultant_gcd`` raises
-``LascouxCaseError`` before any matrix is.
+by Cayley's formula (Gelfand, Kapranov & Zelevinsky, 1994, Appendix A):
+block p is the differential D_p on the rows outside the pivots of block
+p - 1, its determinant in the numerator for odd p, the denominator for even
+p.  The route runs on packed integer term dicts.  Every D_p is held in one
+form, columns of packed parameter dicts in the fields of the block
+determinants (sigma_d's cells its minors, taken on its entries packed once;
+a later cell one signed parameter), so one loop chooses every block at an
+integer point and one expression takes it.  Only the resultant becomes a
+``Polynomial`` again.  For 0 < r < n - 1 the complex is Lascoux's, which is
+not built here: ``resultant_gcd`` raises ``LascouxCaseError`` before any
+matrix is.
 
 The rank test stays on integers: a concrete morphism is cleared of
 denominators by one lcm L and packed once, every Delta_{J,I} is an integer
@@ -297,11 +301,11 @@ def _sigma_columns(
     process-wide caches ``monomials_of_degree`` and ``_packed_index``, keyed
     by (nvars, degree, field width) alone.  A generic column lists per row a
     packed term dict over the parameters in nparams + 1 fields of ``ps``
-    bits (given for a generic phi), as block 1 of ``resultant_gcd`` takes
-    it: one {} for its zero cells, the cells of a Delta_{J,I} shared by its
-    columns; its scale is 1.  A concrete column lists integer cells: phi's entries
-    are cleared of denominators by one lcm L, so every column is the true
-    one times the scale L^(r+1)."""
+    bits (given for a generic phi), the form of every differential in
+    ``resultant_gcd``: one {} for its zero cells, the cells of a Delta_{J,I}
+    shared by its columns; its scale is 1.  A concrete column lists integer
+    cells: phi's entries are cleared of denominators by one lcm L, so every
+    column is the true one times the scale L^(r+1)."""
     require_existence(spec)
     if phi.spec != spec:
         raise PolyError("morphism spec does not match")
@@ -704,20 +708,23 @@ def _points(phi: GenericMorphism) -> Iterator[list[int]]:
         yield [rng.randint(1, 4099) for _ in phi.param_names]
 
 
-def _columns_at(columns: Sequence[list], point: Sequence[int], ps: int) -> list[tuple[int, ...]]:
-    """The rows of the generic sigma_d (``_sigma_columns``'s columns, cells in
-    ``ps``-bit fields) at an integer parameter point, each distinct packed
-    parameter key unpacked and evaluated once."""
+def _columns_at(
+    columns: Sequence[list], rows: Sequence[int], point: Sequence[int], ps: int
+) -> list[tuple[int, ...]]:
+    """The given rows of a differential in packed form (columns of packed
+    parameter dicts, ``ps``-bit fields) at an integer parameter point, each
+    distinct packed parameter key unpacked and evaluated once."""
     layout, values, out = _layout(len(point), ps), {}, []
     for col in columns:
         cells = []
-        for cell in col:
+        for r in rows:
             total = 0
-            for key, c in cell.items():
-                if key not in values:
-                    e = layout.unpack(key.to_bytes(layout.size, "big"))[1:]
-                    values[key] = prod([x**k for x, k in zip(point, e) if k])
-                total += c * values[key]
+            if cell := col[r]:  # most cells are zero: skip them at once
+                for key, c in cell.items():
+                    if key not in values:
+                        e = layout.unpack(key.to_bytes(layout.size, "big"))[1:]
+                        values[key] = prod([x**k for x, k in zip(point, e) if k])
+                    total += c * values[key]
             cells.append(total)
         out.append(cells)
     return list(zip(*out))
@@ -725,36 +732,26 @@ def _columns_at(columns: Sequence[list], point: Sequence[int], ps: int) -> list[
 
 def _block_rows(dims: Sequence[int]) -> list[int]:
     """The row counts of ``_compatible_blocks``' blocks from the dims alone:
-    dims[0] in block 1, then dims[p-1] less the rows of square block p-1."""
+    block p has dims[p-1] rows less those of square block p-1, none for p = 1."""
     return list(accumulate(dims[1:-1], lambda rows, dim: dim - rows, initial=dims[0]))
 
 
 def _compatible_blocks(
-    columns: Sequence[list], dims: Sequence[int], maps: Sequence, point: Sequence[int], ps: int
+    diffs: Sequence[Sequence[list]], dims: Sequence[int], point: Sequence[int], ps: int
 ) -> list[tuple[list[int], list[int]]] | None:
     """Rows and columns of the square blocks of D_1, D_2, ... at ``point``.
 
-    Block 1 is sigma_d (``_sigma_columns``' generic ``columns``, ``ps``-bit
-    fields) on all rows and its greedy pivot columns S_1; block p takes the
-    rows of D_p outside S_{p-1} and the greedy pivot columns S_p of D_p on
-    them.  None when some block falls short of full row rank at ``point`` or
-    S_P misses part of the top term: then the strand is not exact there.
+    Each D_p is in the route's packed form (``ps``-bit fields).  Block p
+    takes the rows of D_p outside S_{p-1} (all of K_0 for p = 1) and the
+    greedy pivot columns S_p of D_p on them.  None when some block falls
+    short of full row rank at ``point`` or S_P misses part of the top term:
+    then the strand is not exact there.
     """
-    rows = list(range(dims[0]))
-    cols = row_echelon(_columns_at(columns, point, ps))[0]
-    if len(cols) < len(rows):
-        return None
-    blocks = [(rows, cols)]
-    for p, D in enumerate(maps, start=2):
+    blocks, cols = [], []
+    for D, dim in zip(diffs, dims):
         chosen = set(cols)
-        rows = [r for r in range(dims[p - 1]) if r not in chosen]
-        at = {r: t for t, r in enumerate(rows)}
-        values = [[0] * len(D) for _ in rows]
-        for c, col in enumerate(D):
-            for r, sign, t in col:
-                if r in at:
-                    values[at[r]][c] = sign * point[t]
-        cols = row_echelon(values)[0]
+        rows = [r for r in range(dim) if r not in chosen]
+        cols = row_echelon(_columns_at(D, rows, point, ps))[0]
         if len(cols) < len(rows):
             return None
         blocks.append((rows, cols))
@@ -771,8 +768,9 @@ def resultant_gcd(
     """The determinantal resultant of the generic morphism, as the
     determinant of the degree-d strand of its complex (Cayley's formula).
 
-    The complex's first differential is sigma_d (see ``complex_strand``).
-    With compatible square blocks B_p of the differentials (see
+    The complex's first differential is sigma_d (see ``complex_strand``);
+    every differential is held in sigma_d's packed form.  With compatible
+    square blocks B_p of the differentials (see
     ``_compatible_blocks``, at the first of up to 16 points drawn from
     ``_POINT_SEED`` where they exist, else ``PolyError``), the determinant
     of the complex is the product of det(B_p) over odd p divided, exactly,
@@ -791,29 +789,28 @@ def resultant_gcd(
     # r+1 in block 1 (Delta_{J,I} is an (r+1)-form) and 1 after it.
     first, *later = _block_rows(dims)
     s = _field_bits(first * (spec.r + 1) + sum(later))
-    columns = _sigma_columns(spec, d, phi, s)[2]
+    nparams = len(phi.param_names)
+    # Every differential in one packed form: D_1 is sigma_d's columns, and an
+    # entry sign * parameter t of a later D_p is the packed cell of t.
+    diffs = [_sigma_columns(spec, d, phi, s)[2]]
+    for p, D in enumerate(maps, start=2):
+        diffs.append([[{}] * dims[p - 1] for _ in D])
+        for col, cells in zip(D, diffs[-1]):
+            for r, sign, t in col:
+                cells[r] = {1 << nparams * s | 1 << (nparams - 1 - t) * s: sign}
     if dims[0] == dims[1] and not maps:
         blocks = [(list(range(dims[0])), list(range(dims[1])))]
     else:
         for point in _points(phi):
-            blocks = _compatible_blocks(columns, dims, maps, point, s)
+            blocks = _compatible_blocks(diffs, dims, point, s)
             if blocks is not None:
                 break
         else:
             raise PolyError("could not find compatible nonsingular blocks")
-    nparams = len(phi.param_names)
     odd, even = [], []
-    for p, (rows, cols) in enumerate(blocks, start=1):
-        if p == 1:  # all rows of sigma_d
-            matrix = list(zip(*[columns[c] for c in cols]))
-        else:
-            at = {r: u for u, r in enumerate(rows)}
-            matrix = [[{}] * len(cols) for _ in rows]
-            for v, c in enumerate(cols):
-                for r, sign, t in maps[p - 2][c]:
-                    if r in at:  # parameter t: total degree 1, exponent 1 at t
-                        matrix[at[r]][v] = {1 << nparams * s | 1 << (nparams - 1 - t) * s: sign}
-        (odd if p % 2 else even).append(_det_packed(matrix))
+    for p, (D, (rows, cols)) in enumerate(zip(diffs, blocks), start=1):
+        block = list(zip(*[D[c] for c in cols]))  # D_p on the block's columns, by row
+        (odd if p % 2 else even).append(_det_packed([block[r] for r in rows]))
     res = reduce(_dict_mul, odd)
     if even:
         # Gauss's lemma: exact over Z iff over Q, the divisor being primitive.

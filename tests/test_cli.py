@@ -483,6 +483,20 @@ class TestExactBigNumbers:
         err = capsys.readouterr().err
         assert err.startswith("error: degree ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["matrix", "resultant", "test"])
+    def test_degree_option_past_2_to_63(self, spec_file, tmp_path, capsys, command):
+        # no degree basis is listed past 2^63: one error line, not a traceback
+        path = spec_file("s.json", SYL11)
+        argv = [command, "--spec", path, "--degree", str(10**20)]
+        if command == "test":
+            phi = tmp_path / "phi.json"
+            phi.write_text(json.dumps(phi_json(make_phi([[(1, 0), (0, 1)]]))))
+            argv += ["--phi", str(phi)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degree {10**20} is too large: exponents and degrees must stay below 2^63\n"
+
     def test_matrix_of_3000_digit_coefficients(self, spec_file, tmp_path, capsys):
         rng, lo, hi = random.Random(3000), 10**2999, 10**3000
         phi = make_phi([[(rng.randrange(lo, hi), rng.randrange(lo, hi)) for _ in range(3)] for _ in range(2)])

@@ -88,6 +88,12 @@ class TestMonomials:
         with pytest.raises(PolyError, match=r"^degree must be >= 0$"):
             monomials_of_degree(2, -1)
 
+    @pytest.mark.parametrize("d", [2**63, 10**20])
+    def test_degree_past_2_to_63_raises(self, d):
+        # no basis of such a degree is ever listed: raised before any tuple
+        with pytest.raises(PolyError, match=rf"^degree {d} is too large: exponents and degrees must stay below 2\^63$"):
+            monomials_of_degree(2, d)
+
     def test_order_is_glex_descending(self):
         for nvars in range(1, 7):
             for d in range(0, 8):
@@ -112,6 +118,16 @@ class TestArithmetic:
         assert (z**3).is_zero() and z**0 == 1
         assert Polynomial.constant(XY, Fraction(-2, 3)) ** 3 == Fraction(-8, 27)
         assert (Fraction(1, 2) * X * Y + 1) ** 2 == Fraction(1, 4) * X * X * Y * Y + X * Y + 1
+
+    def test_power_of_a_monomial_past_2_to_62(self):
+        # square and multiply: about 2 log2(k) products, not k - 1
+        assert (X ** (2**63 - 1)).terms == {(2**63 - 1, 0): 1}
+
+    def test_powers_are_repeated_products(self):
+        p, want = X + Y, Polynomial.constant(XY, 1)
+        for k in range(10):
+            assert p**k == want
+            want = want * p
 
     @pytest.mark.parametrize("value", [3, 0, Fraction(1, 2)])
     def test_constant_hashes_as_its_value(self, value):

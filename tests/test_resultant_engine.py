@@ -2,7 +2,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import lcm, prod
 from operator import add
 
@@ -1140,6 +1140,66 @@ BLOCK_ROW_INPUTS = list(
 )
 
 
+def chooses_blocks(spec, extra):
+    """Whether the route chooses blocks on the strand at nu + extra: all but a
+    square sigma_d with no further term, whose determinant it takes as is."""
+    dims = complex_strand(spec, critical_degree(spec) + extra, generic_morphism(spec))[0]
+    return dims[0] != dims[1] or len(dims) > 2
+
+
+#: The BLOCK_ROW_INPUTS on which the route chooses blocks.
+CHOSEN_BLOCK_INPUTS = [(spec, extra) for spec, extra in BLOCK_ROW_INPUTS if chooses_blocks(spec, extra)]
+
+
+def packed_strand(spec, d, phi, ps):
+    """The strand's dims and its differentials in the route's packed form
+    (``ps``-bit fields): sigma_d's columns from ``_sigma_columns``, then each
+    D_p as columns of packed cells, sign * parameter t packed as t alone."""
+    dims, maps = complex_strand(spec, d, phi)
+    nparams = len(phi.param_names)
+    diffs = [_sigma_columns(spec, d, phi, ps)[2]]
+    for p, D in enumerate(maps, start=2):
+        cols = [[{}] * dims[p - 1] for _ in D]
+        for col, cells in zip(D, cols):
+            for r, sign, t in col:
+                cells[r] = polyring._pack({tuple(int(u == t) for u in range(nparams)): sign}, nparams, ps)
+        diffs.append(cols)
+    return dims, maps, diffs
+
+
+def two_format_blocks(columns, dims, maps, point, ps):
+    """The block choice with D_1 and the later differentials in two formats:
+    block 1 on ``_sigma_columns``' packed cells (``ps``-bit fields), unpacked
+    and evaluated term by term, on all rows; block p >= 2 on
+    ``complex_strand``'s (row, sign, parameter) triples of D_p, each entry
+    sign * point[parameter], on the rows outside S_{p-1}.  S_p is the greedy
+    pivot columns of block p; None when a block falls short of full row rank
+    or S_P misses part of the top term."""
+    nparams = len(point)
+    sigma = [
+        [sum(c * prod(x**k for x, k in zip(point, e)) for e, c in polyring._unpack(cell, nparams, ps).items()) for cell in col]
+        for col in columns
+    ]
+    rows = list(range(dims[0]))
+    cols = row_echelon(list(zip(*sigma)))[0]
+    if len(cols) < len(rows):
+        return None
+    blocks = [(rows, cols)]
+    for p, D in enumerate(maps, start=2):
+        rows = [r for r in range(dims[p - 1]) if r not in cols]
+        at = {r: u for u, r in enumerate(rows)}
+        values = [[0] * len(D) for _ in rows]
+        for c, col in enumerate(D):
+            for r, sign, t in col:
+                if r in at:
+                    values[at[r]][c] = sign * point[t]
+        cols = row_echelon(values)[0]
+        if len(cols) < len(rows):
+            return None
+        blocks.append((rows, cols))
+    return blocks if len(cols) == dims[-1] else None
+
+
 class TestComplexRoute:
     @pytest.mark.parametrize(
         "spec, extra", BLOCK_ROW_INPUTS, ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra in BLOCK_ROW_INPUTS]
@@ -1150,13 +1210,54 @@ class TestComplexRoute:
         those of the blocks ``_compatible_blocks`` then chooses."""
         d = critical_degree(spec) + extra
         phi = generic_morphism(spec)
-        dims, maps = complex_strand(spec, d, phi)
         ps = _field_bits(spec.r + 1)
-        columns = _sigma_columns(spec, d, phi, ps)[2]
-        chosen = (_compatible_blocks(columns, dims, maps, point, ps) for point in _points(phi))
+        dims, _, diffs = packed_strand(spec, d, phi, ps)
+        chosen = (_compatible_blocks(diffs, dims, point, ps) for point in _points(phi))
         blocks = next(filter(None, chosen))
         assert [len(rows) for rows, _ in blocks] == _block_rows(dims)
         assert all(rows > 0 for rows in _block_rows(dims))
+
+    @pytest.mark.parametrize(
+        "spec, extra", BLOCK_ROW_INPUTS, ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra in BLOCK_ROW_INPUTS]
+    )
+    def test_block_choice_matches_two_formats(self, spec, extra):
+        """``_compatible_blocks`` chooses the rows and columns of every block,
+        or None, as ``two_format_blocks`` does from sigma_d's packed columns
+        and the strand's triples, at the all-zero point and at the route's
+        first three points, in the route's fields.  BLOCK_ROW_INPUTS holds
+        every strand of COMPLEX_CASES and so of LATER_BLOCK_CASES."""
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        first, *later = _block_rows(complex_strand(spec, d, phi)[0])
+        ps = _field_bits(first * (spec.r + 1) + sum(later))
+        dims, maps, diffs = packed_strand(spec, d, phi, ps)
+        points = [[0] * len(phi.param_names), *islice(_points(phi), 3)]
+        wants = [two_format_blocks(diffs[0], dims, maps, point, ps) for point in points]
+        assert [_compatible_blocks(diffs, dims, point, ps) for point in points] == wants
+        # both outcomes are compared: None at zero, blocks at some drawn point
+        assert wants[0] is None and any(wants[1:])
+
+    @pytest.mark.parametrize(
+        "spec, extra", CHOSEN_BLOCK_INPUTS, ids=[f"{spec_id(spec)}-at-nu+{extra}" for spec, extra in CHOSEN_BLOCK_INPUTS]
+    )
+    def test_route_packs_every_differential(self, monkeypatch, spec, extra):
+        """The route hands ``_compatible_blocks`` the differentials that
+        ``packed_strand`` packs; it is stopped there, before any block
+        determinant."""
+        d = critical_degree(spec) + extra
+        phi = generic_morphism(spec)
+        first, *later = _block_rows(complex_strand(spec, d, phi)[0])
+        ps = _field_bits(first * (spec.r + 1) + sum(later))
+        handed = []
+
+        def stop(diffs, *args):
+            handed.append(diffs)
+            raise LookupError("stopped")
+
+        monkeypatch.setattr(resultant_engine, "_compatible_blocks", stop)
+        with pytest.raises(LookupError, match="^stopped$"):
+            resultant_gcd(spec, d)
+        assert handed == [packed_strand(spec, d, phi, ps)[2]]
 
     @pytest.mark.parametrize(
         "spec, extra, letters",
@@ -1310,7 +1411,9 @@ class TestColumnsAt:
                 point = [rng.randint(-9, 9) for _ in phi.param_names]
                 at = dict(zip(phi.param_names, point))
                 want = [tuple(cell.evaluate(at) for cell in row) for row in sigma.entries]
-                assert _columns_at(columns, point, ps) == want
+                assert _columns_at(columns, range(len(want)), point, ps) == want
+                rows = sorted(rng.sample(range(len(want)), len(want) // 2))
+                assert _columns_at(columns, rows, point, ps) == [want[r] for r in rows]
 
     def test_powers_and_shared_cells(self):
         # a parameter field reaches r + 1 (3 here) in 8-bit fields; the
@@ -1324,7 +1427,8 @@ class TestColumnsAt:
             [zero, polyring._pack({(0, 0): 5}, 2, 8)],
             [zero, zero],
         ]
-        assert _columns_at(columns, [2, -3], 8) == [(27, 36, 0, 0), (0, 27, 5, 0)]
+        assert _columns_at(columns, [0, 1], [2, -3], 8) == [(27, 36, 0, 0), (0, 27, 5, 0)]
+        assert _columns_at(columns, [1], [2, -3], 8) == [(0, 27, 5, 0)]
 
 
 class TestGenericSigmaCells:
@@ -1444,13 +1548,12 @@ class TestNumericCayley:
         spec = self.SPEC
         nu = critical_degree(spec)
         gen = generic_morphism(spec)
-        got, maps = complex_strand(spec, nu + extra, gen)
-        assert got == dims
         ps = _field_bits(spec.r + 1)
-        columns = _sigma_columns(spec, nu + extra, gen, ps)[2]
+        got, maps, diffs = packed_strand(spec, nu + extra, gen, ps)
+        assert got == dims
         rng = random.Random(0xCA7 + extra)
         point = list(integer_values(gen, rng).values())
-        blocks = _compatible_blocks(columns, dims, maps, point, ps)
+        blocks = _compatible_blocks(diffs, dims, point, ps)
         assert blocks is not None and len(blocks) == len(dims) - 1
         ratios = set()
         for _ in range(3):
