@@ -3,8 +3,10 @@
 Exit codes: 0 success (or nonvanishing for the test subcommands), 10
 vanishing, 2 invalid input, 3 existence-check failure, 4 unconfirmed
 resultant (its degree is not the predicted one: a fault), 5 a Lascoux spec
-(0 < r < n - 1) given to ``resultant``.  JSON outputs carry a top-level
-``"schema": "detres/1"`` field and are byte-deterministic for fixed inputs.
+(0 < r < n - 1) given to ``resultant``, 141 stdout closed by its reader
+(128 + SIGPIPE, with nothing on stderr).  ``main`` is the one writer of
+stdout.  JSON outputs carry a top-level ``"schema": "detres/1"`` field and
+are byte-deterministic for fixed inputs.
 
 ``resultant`` and ``chow`` compute the resultant polynomial with
 ``resultant_gcd``: the determinant of the complex whose first differential
@@ -20,14 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .chern_degree import ExistenceError, ProblemSpec, critical_degree, require_existence
 
 if TYPE_CHECKING:
     from .resultant_engine import ConcreteMorphism, SigmaMatrix
     from .scroll_chow import PlaneStiefel, ScrollSpec
+    Result = tuple[int, Callable[[], dict], Iterable[str]]
 
 SCHEMA = "detres/1"
 
@@ -37,6 +42,7 @@ EXIT_EXISTENCE = 3
 EXIT_UNCONFIRMED = 4
 EXIT_LASCOUX = 5
 EXIT_VANISHES = 10
+EXIT_BROKEN_PIPE = 141
 
 
 class InputError(Exception):
@@ -81,34 +87,31 @@ def _load_spec(path: str) -> ProblemSpec:
         raise InputError(f"bad problem spec in {path}: {exc}") from exc
 
 
-def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
-    from .polyring import PolyError, Polynomial
-    from .resultant_engine import concrete_morphism
-    # A spec without a resultant exits 3 even when the morphism is bad too.
-    require_existence(spec)
+def _load_rows(path: str, what: str, cell, build):
+    """``build`` of the JSON list of lists in ``path``, each entry read by ``cell``."""
+    from .polyring import PolyError
     data = _load_json(path)
     try:
         if type(data) is not list or any(type(row) is not list for row in data):
-            raise PolyError("a morphism is a list of rows, each a list of entries")
-        rows = [[Polynomial.from_json(cell) for cell in row] for row in data]
-        return concrete_morphism(spec, rows)
+            raise PolyError(f"a {what} is a list of rows, each a list of entries")
+        return build([[cell(v) for v in row] for row in data])
     except PolyError as exc:
-        raise InputError(f"bad morphism in {path}: {exc}") from exc
+        raise InputError(f"bad {what} in {path}: {exc}") from exc
+
+
+def _load_phi(path: str, spec: ProblemSpec) -> ConcreteMorphism:
+    from .polyring import Polynomial
+    from .resultant_engine import concrete_morphism
+    # A spec without a resultant exits 3 even when the morphism is bad too.
+    require_existence(spec)
+    return _load_rows(path, "morphism", Polynomial.from_json, lambda rows: concrete_morphism(spec, rows))
 
 
 def _load_plane(path: str) -> PlaneStiefel:
     """Rows of entries, each a rational string or a JSON integer."""
-    from .polyring import PolyError, rational_from_json
+    from .polyring import rational_from_json
     from .scroll_chow import PlaneStiefel
-    data = _load_json(path)
-    try:
-        if type(data) is not list or any(type(row) is not list for row in data):
-            raise PolyError("a plane is a list of rows, each a list of entries")
-        return PlaneStiefel(
-            rows=tuple(tuple(rational_from_json(v) for v in row) for row in data)
-        )
-    except PolyError as exc:
-        raise InputError(f"bad plane in {path}: {exc}") from exc
+    return _load_rows(path, "plane", rational_from_json, PlaneStiefel)
 
 
 def _parse_scroll(text: str) -> ScrollSpec:
@@ -117,10 +120,6 @@ def _parse_scroll(text: str) -> ScrollSpec:
         return ScrollSpec(tuple(int(x) for x in text.split(",")))
     except (ValueError, ExistenceError) as exc:
         raise InputError(f"bad scroll degrees {text!r}: {exc}") from exc
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=False))
 
 
 def _sigma_json(sigma: SigmaMatrix) -> dict:
@@ -141,45 +140,37 @@ def _sigma_json(sigma: SigmaMatrix) -> dict:
     }
 
 
+def _sigma_lines(sigma: SigmaMatrix, head: str) -> Iterator[str]:
+    """``head`` formatted with sigma and its shape, then one line per row."""
+    yield head.format(sigma, *sigma.shape)
+    for row in sigma.entries:
+        yield "  [" + ", ".join(str(e) for e in row) + "]"
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its exit code, JSON payload and text lines.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> Result:
     from .chern_degree import existence_check, multidegree
     spec = _load_spec(args.spec)
     ok, bad = existence_check(spec)
     if not ok:
-        if args.json:
-            _emit_json({"schema": SCHEMA, "exists": False, "diagnostics": bad})
-        else:
-            print("exists: false")
-            for b in bad:
-                print(f"  {b}")
-        return EXIT_EXISTENCE
+        lines = chain(["exists: false"], (f"  {b}" for b in bad))
+        return EXIT_EXISTENCE, lambda: {"exists": False, "diagnostics": bad}, lines
     md = multidegree(spec)
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "exists": True,
-                "N": spec.N,
-                "multidegree": list(md),
-                "total_degree": sum(md),
-                "critical_degree": critical_degree(spec),
-            }
-        )
-    else:
-        print(f"exists: true")
-        print(f"N: {spec.N}")
-        print(f"multidegree: {list(md)}")
-        print(f"total_degree: {sum(md)}")
-        print(f"critical_degree: {critical_degree(spec)}")
-    return EXIT_OK
+    payload = {
+        "exists": True,
+        "N": spec.N,
+        "multidegree": list(md),
+        "total_degree": sum(md),
+        "critical_degree": critical_degree(spec),
+    }
+    return EXIT_OK, lambda: payload, (f"{key}: {json.dumps(v)}" for key, v in payload.items())
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> Result:
     from .resultant_engine import build_sigma, generic_morphism
     spec = _load_spec(args.spec)
     d = args.degree if args.degree is not None else critical_degree(spec)
@@ -188,14 +179,8 @@ def _cmd_matrix(args) -> int:
     else:
         phi = generic_morphism(spec)
     sigma = build_sigma(spec, d, phi)
-    if args.json:
-        _emit_json({"schema": SCHEMA, **_sigma_json(sigma)})
-    else:
-        rows, cols = sigma.shape
-        print(f"sigma_{d}: {rows} x {cols} ({sigma.omitted_columns} omitted column groups)")
-        for row in sigma.entries:
-            print("  [" + ", ".join(str(e) for e in row) + "]")
-    return EXIT_OK
+    head = "sigma_{0.d}: {1} x {2} ({0.omitted_columns} omitted column groups)"
+    return EXIT_OK, lambda: _sigma_json(sigma), _sigma_lines(sigma, head)
 
 
 def _resultant_payload(out) -> dict:
@@ -208,76 +193,67 @@ def _resultant_payload(out) -> dict:
     }
 
 
-def _cmd_resultant(args) -> int:
-    from .resultant_engine import LascouxCaseError, resultant_gcd
+def _cmd_resultant(args) -> Result:
+    from .resultant_engine import resultant_gcd
     spec = _load_spec(args.spec)
-    try:
-        out = resultant_gcd(spec, d=args.degree)
-    except LascouxCaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LASCOUX
-    if args.json:
-        _emit_json({"schema": SCHEMA, **_resultant_payload(out)})
-    else:
-        print(f"degree per column block: {list(out.block_degrees)}")
-        print(f"confirmed: {out.confirmed} (minors used: {out.minors_used})")
-        print(out.polynomial)
-    return EXIT_OK if out.confirmed else EXIT_UNCONFIRMED
+    out = resultant_gcd(spec, d=args.degree)
+
+    def lines():
+        yield f"degree per column block: {list(out.block_degrees)}"
+        yield f"confirmed: {out.confirmed} (minors used: {out.minors_used})"
+        yield str(out.polynomial)
+    return EXIT_OK if out.confirmed else EXIT_UNCONFIRMED, lambda: _resultant_payload(out), lines()
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> Result:
     from .resultant_engine import sigma_rank
     spec = _load_spec(args.spec)
     phi = _load_phi(args.phi, spec)
     result = sigma_rank(spec, phi, args.degree)
-    if args.json:
-        _emit_json({"schema": SCHEMA, **result._asdict(), "vanishes": result.vanishes})
-    else:
-        print(f"rank: {result.rank} of {result.rows}")
-        print(f"vanishes: {str(result.vanishes).lower()}")
-    return EXIT_VANISHES if result.vanishes else EXIT_OK
+
+    def lines():
+        yield f"rank: {result.rank} of {result.rows}"
+        yield f"vanishes: {str(result.vanishes).lower()}"
+    code = EXIT_VANISHES if result.vanishes else EXIT_OK
+    return code, lambda: {**result._asdict(), "vanishes": result.vanishes}, lines()
 
 
-def _cmd_chow(args) -> int:
+def _cmd_chow(args) -> Result:
     from .resultant_engine import build_sigma
     from .scroll_chow import chow_form, chow_generic_morphism, chow_problem
     scroll = _parse_scroll(args.scroll)
     problem = chow_problem(scroll)
     sigma = build_sigma(problem, critical_degree(problem), chow_generic_morphism(scroll))
     out = None if args.matrix_only else chow_form(scroll)
-    payload: dict = {"schema": SCHEMA, "matrix": _sigma_json(sigma)}
-    if out is not None:
-        payload["chow_form"] = _resultant_payload(out)
-    if args.json:
-        _emit_json(payload)
-    else:
-        rows, cols = sigma.shape
-        print(f"chow matrix: {rows} x {cols}")
-        for row in sigma.entries:
-            print("  [" + ", ".join(str(e) for e in row) + "]")
+
+    def payload():
+        matrix = {"matrix": _sigma_json(sigma)}
+        return matrix if out is None else {**matrix, "chow_form": _resultant_payload(out)}
+
+    def lines():
+        yield from _sigma_lines(sigma, "chow matrix: {1} x {2}")
         if out is not None:
-            print(f"chow form degrees per block: {list(out.block_degrees)}")
-            print(f"confirmed: {out.confirmed}")
-            print(out.polynomial)
-    return EXIT_UNCONFIRMED if out is not None and not out.confirmed else EXIT_OK
+            yield f"chow form degrees per block: {list(out.block_degrees)}"
+            yield f"confirmed: {out.confirmed}"
+            yield str(out.polynomial)
+    return EXIT_UNCONFIRMED if out is not None and not out.confirmed else EXIT_OK, payload, lines()
 
 
-def _cmd_chow_test(args) -> int:
+def _cmd_chow_test(args) -> Result:
     from .scroll_chow import plane_diagnostics
     scroll = _parse_scroll(args.scroll)
     plane = _load_plane(args.plane)
     diag = plane_diagnostics(scroll, plane)
-    if args.json:
-        _emit_json({"schema": SCHEMA, **diag})
-    else:
-        print(f"stiefel rank: {diag['stiefel_rank']}")
+
+    def lines():
+        yield f"stiefel rank: {diag['stiefel_rank']}"
         if diag["degenerate"]:
-            print("warning: degenerate plane (rank-deficient Stiefel matrix)")
-        print(f"meets scroll: {str(diag['meets_scroll']).lower()}")
-    return EXIT_VANISHES if diag["meets_scroll"] else EXIT_OK
+            yield "warning: degenerate plane (rank-deficient Stiefel matrix)"
+        yield f"meets scroll: {str(diag['meets_scroll']).lower()}"
+    return EXIT_VANISHES if diag["meets_scroll"] else EXIT_OK, lambda: diag, lines()
 
 
-def _cmd_complex(args) -> int:
+def _cmd_complex(args) -> Result:
     from .partition_schur import complex_terms
     spec = _load_spec(args.spec)
     require_existence(spec)
@@ -287,28 +263,25 @@ def _cmd_complex(args) -> int:
     terms = []
     for p in indices:
         terms.extend(complex_terms(spec.m, spec.n, spec.r, p))
-    if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "terms": [
-                    {
-                        "p": t.homological_index,
-                        "I": list(t.I),
-                        "I_prime": list(t.I_prime),
-                        "n_of_I": t.ampleness,
-                    }
-                    for t in terms
-                ],
-            }
-        )
-    else:
-        for t in terms:
-            print(
-                f"p={t.homological_index} I={tuple(t.I)} "
-                f"I'={tuple(t.I_prime)} n(I)={t.ampleness}"
-            )
-    return EXIT_OK
+    lines = (
+        f"p={t.homological_index} I={tuple(t.I)} "
+        f"I'={tuple(t.I_prime)} n(I)={t.ampleness}"
+        for t in terms
+    )
+
+    def payload():
+        return {
+            "terms": [
+                {
+                    "p": t.homological_index,
+                    "I": list(t.I),
+                    "I_prime": list(t.I_prime),
+                    "n_of_I": t.ampleness,
+                }
+                for t in terms
+            ],
+        }
+    return EXIT_OK, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -323,52 +296,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("degree", help="existence, multidegree and total degree")
+    p = command("degree", _cmd_degree, "existence, multidegree and total degree")
     p.add_argument("--spec", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_degree)
 
-    p = sub.add_parser("matrix", help="build the sigma_d matrix")
+    p = command("matrix", _cmd_matrix, "build the sigma_d matrix")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--phi", default=None, help="concrete morphism JSON file (default: generic)")
-    add_json(p)
-    p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("resultant", help="resultant polynomial of the generic morphism")
+    p = command("resultant", _cmd_resultant, "resultant polynomial of the generic morphism")
     p.add_argument("--spec", required=True)
     p.add_argument("--degree", type=int, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_resultant)
 
-    p = sub.add_parser("test", help="rank-based vanishing test")
+    p = command("test", _cmd_test, "rank-based vanishing test")
     p.add_argument("--spec", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--degree", type=int, default=None)
-    add_json(p)
-    p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("chow", help="Chow matrix/form of a rational normal scroll")
+    p = command("chow", _cmd_chow, "Chow matrix/form of a rational normal scroll")
     p.add_argument("--scroll", required=True, help="comma-separated degrees, e.g. 2,1")
     p.add_argument("--matrix-only", action="store_true")
-    add_json(p)
-    p.set_defaults(func=_cmd_chow)
 
-    p = sub.add_parser("chow-test", help="does a plane meet the scroll?")
+    p = command("chow-test", _cmd_chow_test, "does a plane meet the scroll?")
     p.add_argument("--scroll", required=True)
     p.add_argument("--plane", required=True, help="JSON: rows of rational strings")
-    add_json(p)
-    p.set_defaults(func=_cmd_chow_test)
 
-    p = sub.add_parser("complex", help="terms of the resolution by homological index")
+    p = command("complex", _cmd_complex, "terms of the resolution by homological index")
     p.add_argument("--spec", required=True)
     p.add_argument("-p", type=int, default=None, help="homological index (default: all)")
-    add_json(p)
-    p.set_defaults(func=_cmd_complex)
 
+    for p in sub.choices.values():  # main writes JSON for every subcommand
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -380,20 +343,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except InputError as exc:
+        code, payload, lines = args.func(args)
+        if args.json:
+            lines = [json.dumps({"schema": SCHEMA, **payload()}, indent=2)]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: the interpreter's flush at exit goes to /dev/null.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except (InputError, ExistenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ExistenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXISTENCE
+        return EXIT_EXISTENCE if isinstance(exc, ExistenceError) else EXIT_INVALID
     except ValueError as exc:
-        # Imported only here: `degree` and `complex` never load polyring.
+        # Imported only here: `degree` and `complex` load neither module.
         from .polyring import PolyError
+        from .resultant_engine import LascouxCaseError
         if not isinstance(exc, PolyError):
             raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_LASCOUX if isinstance(exc, LascouxCaseError) else EXIT_INVALID
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

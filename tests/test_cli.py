@@ -13,7 +13,7 @@ import pytest
 
 import detres
 
-from detres.cli import main
+from detres.cli import _build_parser, main
 from detres.polyring import Polynomial
 
 
@@ -531,15 +531,87 @@ FORMER_EXPORTS = (
 ).split()
 
 
+def source_env() -> dict:
+    """The environment with the source tree first on ``PYTHONPATH``."""
+    src = str(Path(detres.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_script(script: str) -> str:
     """The last stdout line of ``script`` run by a fresh interpreter."""
-    src = str(Path(detres.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", script], capture_output=True, text=True, env=source_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+class TestSingleWriter:
+    """Only ``main`` writes stdout: a subcommand returns its exit code, a
+    callable for its JSON payload and an iterable of text lines."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degree", "--spec", "SPEC"],
+            ["matrix", "--spec", "SPEC"],
+            ["resultant", "--spec", "SPEC"],
+            ["test", "--spec", "SPEC", "--phi", "PHI"],
+            ["chow", "--scroll", "2,1"],
+            ["chow-test", "--scroll", "2,1", "--plane", "PLANE"],
+            ["complex", "--spec", "SPEC"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_subcommands_print_nothing(self, spec_file, tmp_path, capsys, argv):
+        phi, plane = tmp_path / "phi.json", tmp_path / "plane.json"
+        phi.write_text(json.dumps(phi_json(make_phi([[(1, 0), (0, 1)]]))))
+        plane.write_text(json.dumps([[1, -1, 0, 0, 0], [0, 1, -1, 0, 0], [0, 0, 0, 1, -1]]))
+        files = {"SPEC": spec_file("s.json", SYL11), "PHI": str(phi), "PLANE": str(plane)}
+        args = _build_parser().parse_args([files.get(a, a) for a in argv])
+        code, payload, lines = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert type(code) is int and "schema" not in payload()
+        assert all(type(line) is str for line in lines)
+        assert capsys.readouterr() == ("", "")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit 141 and
+    nothing on stderr, not a ``BrokenPipeError`` traceback."""
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["degree", "resultant"])
+    def test_closed_before_start(self, spec_file, command, json_flag):
+        path = spec_file("s.json", SYLVESTER)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "detres.cli", command, "--spec", path, *json_flag],
+                stdout=write_end, stderr=subprocess.PIPE, env=source_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_closed_after_ten_bytes(self):
+        # about 320 kB of JSON: far past the 64 KiB a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "detres.cli", "chow", "--scroll", "2,1", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=source_env(), bufsize=0,
+        )
+        try:
+            assert proc.stdout.read(10) == b'{\n  "schem'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestLazyImports:
@@ -552,6 +624,19 @@ class TestLazyImports:
             "print(code, [m for m in heavy if m in sys.modules])\n"
         )
         assert run_script(script) == "0 []"
+
+    @pytest.mark.parametrize("command", ["degree", "complex"])
+    def test_no_polynomial_modules(self, spec_file, command):
+        # main imports polyring and resultant_engine only on an error
+        path = spec_file("syl.json", SYLVESTER)
+        runs = [[command, "--spec", path], [command, "--spec", path, "--json"]]
+        script = (
+            "import sys, detres.cli\n"
+            f"codes = [detres.cli.main(argv) for argv in {runs!r}]\n"
+            "heavy = ('detres.polyring', 'detres.resultant_engine')\n"
+            "print(codes, [m for m in heavy if m in sys.modules])\n"
+        )
+        assert run_script(script) == "[0, 0] []"
 
     def test_no_dataclasses_or_inspect(self, spec_file, tmp_path):
         # Each costs milliseconds of every process's start-up.

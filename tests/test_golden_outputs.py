@@ -14,7 +14,9 @@ import json
 
 import pytest
 
+from detres import cli
 from detres.cli import main
+from detres.polyring import Polynomial
 
 SPECS = {
     "sylvester": {"m": 2, "n": 1, "r": 0, "d": [2, 3], "k": [0]},
@@ -169,5 +171,24 @@ def run(argv, tmp_path, capsys) -> str:
 @pytest.mark.parametrize("mode", ["text", "json"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_output_digest(case, mode, tmp_path, capsys):
+    argv = CASES[case] + (["--json"] if mode == "json" else [])
+    assert run(argv, tmp_path, capsys) == GOLDEN[f"{case} {mode}"]
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_each_mode_builds_only_its_own_output(case, mode, tmp_path, capsys, monkeypatch):
+    """Text mode never builds the JSON payload (``to_json``, ``_sigma_json``),
+    and ``--json`` never formats a polynomial as text (``__str__``); the
+    digests hold with the other mode's formatter made to raise."""
+
+    def refuse(*args):
+        raise AssertionError(f"the {mode} output formatted the other mode's output")
+
+    if mode == "text":
+        monkeypatch.setattr(Polynomial, "to_json", refuse)
+        monkeypatch.setattr(cli, "_sigma_json", refuse)
+    else:
+        monkeypatch.setattr(Polynomial, "__str__", refuse)
     argv = CASES[case] + (["--json"] if mode == "json" else [])
     assert run(argv, tmp_path, capsys) == GOLDEN[f"{case} {mode}"]

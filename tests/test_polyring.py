@@ -165,6 +165,25 @@ class TestArithmetic:
         p = X - X
         assert p.terms == {}
 
+    def test_terms_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            X.terms = {}
+
+    def test_constant_minus_polynomial(self):
+        assert 1 - X == -(X - 1)
+        assert Fraction(1, 2) - X * Y == -(X * Y - Fraction(1, 2))
+
+    def test_negative_power_raises(self):
+        with pytest.raises(PolyError, match="negative powers"):
+            X ** -1
+
+    def test_never_equal_to_other_types(self):
+        assert (X == "x") is False and X != "x"
+        assert (Polynomial.constant(XY, 1) == "1") is False
+
+    def test_truth_is_nonzero(self):
+        assert not Polynomial.zero(XY) and X and Polynomial.constant(XY, -1)
+
 
 class TestEvaluate:
     def test_full(self):
@@ -799,6 +818,10 @@ class TestGcd:
         z = Polynomial.zero(XY)
         with pytest.raises(PolyError):
             multivariate_gcd(z, z)
+
+    def test_normalizing_zero_errors(self):
+        with pytest.raises(PolyError, match="zero polynomial"):
+            normalize_gcd_style(Polynomial.zero(XY))
 
     def test_construct_and_recover(self):
         rng = random.Random(2024)
