@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or nonvanishing for the test subcommands), 10
 vanishing, 2 invalid input, 3 existence-check failure, 4 unconfirmed
-resultant (its degree is not the predicted one: a fault), 5 a Lascoux spec
+resultant (its degrees are not the predicted ones: a fault), 5 a Lascoux spec
 (0 < r < n - 1) given to ``resultant``, 141 stdout closed by its reader
 (128 + SIGPIPE, with nothing on stderr).  ``main`` is the one writer of
 stdout.  JSON outputs carry a top-level ``"schema": "detres/1"`` field and

@@ -49,14 +49,14 @@ from functools import reduce
 from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import isqrt, lcm, prod
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .chern_degree import (
     ExistenceError,
     ProblemSpec,
     critical_degree,
+    multidegree,
     require_existence,
-    total_degree,
 )
 from .polyring import (
     NEG_INFINITY,
@@ -87,34 +87,8 @@ def geometric_names(spec: ProblemSpec) -> tuple[str, ...]:
     return tuple(f"x{t}" for t in range(spec.N + 1))
 
 
-def default_naming(j: int, i: int, exps: Exponent) -> str:
-    """Parameter name for the coefficient of monomial ``exps`` in entry (j, i).
-
-    Row ``j`` and column ``i`` are 1-based; the exponent tuple is appended
-    verbatim, e.g. ``c_1_2_0_3`` for row 1, column 2, monomial x0^0 x1^3.
-    """
-    return f"c_{j}_{i}_" + "_".join(str(e) for e in exps)
-
-
-def letter_naming() -> Callable[[int, int, Exponent], str]:
-    """One letter per matrix column with a per-column running counter.
-
-    The counter advances over rows in order and, within a row, over the
-    monomials of the entry in graded-lex descending order, matching the
-    naming used by the scroll Chow matrices (a0, a1, ... for column 1,
-    b0, b1, ... for column 2, and so on).
-    """
-    letters = "abcdefghijklmnopqrstuvwz"
-    counters: dict[int, int] = {}
-
-    def name(j: int, i: int, exps: Exponent) -> str:
-        if i > len(letters):
-            return default_naming(j, i, exps)
-        c = counters.get(i, 0)
-        counters[i] = c + 1
-        return f"{letters[i - 1]}{c}"
-
-    return name
+#: Column letters of the letter-named parameters: a0, a1, ... in column 1.
+_LETTERS = "abcdefghijklmnopqrstuvwz"
 
 
 class GenericMorphism(NamedTuple):
@@ -132,24 +106,28 @@ class GenericMorphism(NamedTuple):
     coeff_names: dict[tuple[int, int, Exponent], str]
 
 
-def generic_morphism(
-    spec: ProblemSpec,
-    naming: Callable[[int, int, Exponent], str] | None = None,
-) -> GenericMorphism:
+def generic_morphism(spec: ProblemSpec, letters: bool = False) -> GenericMorphism:
+    """The generic morphism of ``spec``, one parameter per coefficient.
+
+    The coefficient of monomial e in entry (j, i), both 1-based, is named
+    ``c_j_i_e`` (``c_1_2_0_3`` for x0^0 x1^3 in row 1, column 2).  With
+    ``letters`` it is the column's letter and its place in the column, over
+    the rows and then the monomials in graded-lex descending order: a0, a1,
+    ... in column 1, b0, ... in column 2; columns past the 24th letter keep
+    the ``c_j_i_e`` names.
+    """
     require_existence(spec)
     nv = spec.N + 1
-    if naming is None:
-        naming = default_naming
     coeff_names: dict[tuple[int, int, Exponent], str] = {}
-    seen: set[str] = set()
     for i in range(1, spec.m + 1):
+        place = 0
         for j in range(1, spec.n + 1):
             for exps in monomials_of_degree(nv, spec.d[i - 1] - spec.k[j - 1]):
-                name = naming(j, i, exps)
-                if name in seen:
-                    raise PolyError(f"duplicate parameter name {name!r}")
-                seen.add(name)
-                coeff_names[(j, i, exps)] = name
+                if letters and i <= len(_LETTERS):
+                    coeff_names[(j, i, exps)] = f"{_LETTERS[i - 1]}{place}"
+                    place += 1
+                else:
+                    coeff_names[(j, i, exps)] = f"c_{j}_{i}_" + "_".join(map(str, exps))
     return GenericMorphism(spec=spec, param_names=tuple(coeff_names.values()), coeff_names=coeff_names)
 
 
@@ -760,11 +738,7 @@ def _compatible_blocks(
     return blocks
 
 
-def resultant_gcd(
-    spec: ProblemSpec,
-    d: int | None = None,
-    naming: Callable[[int, int, Exponent], str] | None = None,
-) -> ResultantOutput:
+def resultant_gcd(spec: ProblemSpec, d: int | None = None, letters: bool = False) -> ResultantOutput:
     """The determinantal resultant of the generic morphism, as the
     determinant of the degree-d strand of its complex (Cayley's formula).
 
@@ -778,11 +752,14 @@ def resultant_gcd(
     Appendix A); for d at least the critical degree, its default, it is the
     resultant.  A square sigma_d with no further term gives det(sigma_d)
     without a point.  A spec with 0 < r < n - 1 raises ``LascouxCaseError``
-    before any matrix is built.
+    before any matrix is built.  The result is a polynomial in the
+    parameters of ``generic_morphism(spec, letters)``; it is ``confirmed``
+    when its degree in each column's parameters is that column's entry of
+    ``multidegree(spec)`` and its total degree their sum.
     """
     d = _resultant_degree(spec, d)
     _require_complex(spec)
-    phi = generic_morphism(spec, naming)
+    phi = generic_morphism(spec, letters)
     dims, maps = complex_strand(spec, d, phi)
     # One field size for all blocks and sigma_d's cells: no product of
     # determinants exceeds the sum of their rows times their entry degree,
@@ -820,10 +797,11 @@ def resultant_gcd(
     res = _normalize_int_dict(res)
     sizes = Counter(i for _, i, _ in phi.coeff_names)
     degrees, total = _block_degrees(res, [sizes[i] for i in range(1, spec.m + 1)], s)
+    md = multidegree(spec)
     return ResultantOutput(
         polynomial=_from_terms(VarSet(phi.param_names), _unpack(res, nparams, s)),
         block_degrees=tuple(degrees),
-        confirmed=total == total_degree(spec),
+        confirmed=total == sum(md) and tuple(degrees) == md,
         minors_used=len(odd) + len(even),
         minor_columns=(tuple(blocks[0][1]),),
         normalization="integer content 1, positive graded-lex leading coefficient",

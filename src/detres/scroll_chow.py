@@ -28,7 +28,6 @@ from .resultant_engine import (
     ResultantOutput,
     _morphism_at,
     generic_morphism,
-    letter_naming,
     rational_det,
     rational_rank,
     resultant_gcd,
@@ -145,17 +144,18 @@ def chow_problem(spec: ScrollSpec) -> ProblemSpec:
 
 def chow_generic_morphism(spec: ScrollSpec) -> GenericMorphism:
     """Generic Chow morphism with letter-per-column parameter names."""
-    return generic_morphism(chow_problem(spec), letter_naming())
+    return generic_morphism(chow_problem(spec), letters=True)
 
 
 def chow_form(spec: ScrollSpec) -> ResultantOutput:
     """Chow form of the scroll in Stiefel coordinates.
 
-    Degree ``sum(d_i)`` in each column block of the plane matrix.  The
-    problem is principal (r = n - 1, m = n + 1), so ``resultant_gcd`` takes
-    it as the determinant of its Eagon-Northcott strand.
+    Degree ``sum(d_i)`` in each column block of the plane matrix, over the
+    letter-named parameters of ``chow_generic_morphism``.  The problem is
+    principal (r = n - 1, m = n + 1), so ``resultant_gcd`` takes it as the
+    determinant of its Eagon-Northcott strand.
     """
-    return resultant_gcd(chow_problem(spec), naming=letter_naming())
+    return resultant_gcd(chow_problem(spec), letters=True)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def candidate_column_sets(numeric: Sequence[Sequence], budget: int) -> Iterator[
 
 
 def resultant_by_minors(
-    spec: ProblemSpec, d: int | None = None, budget: int = 8, naming=None
+    spec: ProblemSpec, d: int | None = None, budget: int = 8, letters: bool = False
 ) -> ResultantOutput:
     """The resultant as a gcd of at most ``budget`` maximal minors of sigma_d.
 
@@ -212,7 +212,7 @@ def resultant_by_minors(
     number of minors taken and ``minor_columns`` their column sets.
     """
     d = _resultant_degree(spec, d)
-    phi = generic_morphism(spec, naming)
+    phi = generic_morphism(spec, letters)
     sigma = build_sigma(spec, d, phi)
     rows = len(sigma.entries)
     for point in _points(phi):

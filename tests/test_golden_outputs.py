@@ -1,11 +1,12 @@
-"""Golden digests of the command-line outputs.
+"""Golden digests of the command-line outputs and of the parameter names.
 
 Each case runs ``cli.main`` in-process, once in text mode and once with
 ``--json``, and compares the exit code and the sha256 of stdout with the
-values recorded in ``GOLDEN``.  Outputs are byte-deterministic, so any
-change to a byte of them, including the order of terms, rows or columns,
-shows here; a change that alters an output on purpose records its new
-digest.  CI also runs this module under two values of ``PYTHONHASHSEED``,
+values recorded in ``GOLDEN``; ``NAME_GOLDEN`` holds the sha256 of the
+generic morphism's parameter names, one a line, under both naming rules.
+Outputs are byte-deterministic, so any change to a byte of them, including
+the order of terms, rows or columns, shows here; a change that alters an
+output on purpose records its new digest.  CI also runs this module under two values of ``PYTHONHASHSEED``,
 so that no output order can come from string hashing.
 """
 
@@ -15,8 +16,11 @@ import json
 import pytest
 
 from detres import cli
+from detres.chern_degree import ProblemSpec
 from detres.cli import main
 from detres.polyring import Polynomial
+from detres.resultant_engine import generic_morphism
+from detres.scroll_chow import ScrollSpec, chow_problem
 
 SPECS = {
     "sylvester": {"m": 2, "n": 1, "r": 0, "d": [2, 3], "k": [0]},
@@ -192,3 +196,46 @@ def test_each_mode_builds_only_its_own_output(case, mode, tmp_path, capsys, monk
         monkeypatch.setattr(Polynomial, "__str__", refuse)
     argv = CASES[case] + (["--json"] if mode == "json" else [])
     assert run(argv, tmp_path, capsys) == GOLDEN[f"{case} {mode}"]
+
+
+NAME_SPECS = {
+    "sylvester": ProblemSpec(2, 1, 0, (2, 3), (0,)),
+    "macaulay": ProblemSpec(3, 1, 0, (1, 1, 2), (0,)),
+    "lascoux": ProblemSpec(3, 3, 1, (1, 1, 1), (0, 0, 0)),
+    "principal": ProblemSpec(3, 2, 1, (1, 1, 2), (0, 0)),
+    "chow-2": chow_problem(ScrollSpec((2,))),
+    "chow-2-1": chow_problem(ScrollSpec((2, 1))),
+    "chow-1-1-1": chow_problem(ScrollSpec((1, 1, 1))),
+    "chow-3-2": chow_problem(ScrollSpec((3, 2))),
+    # 25 columns: the 25th is past the last letter and keeps c_j_i_e
+    "wide": ProblemSpec(25, 1, 0, (1,) * 25, (0,)),
+}
+
+#: sha256 of the parameter names, one a line, per spec and naming rule.
+NAME_GOLDEN = {
+    "sylvester c_j_i_e": "d91b9298250535e994e29437b82773fffec8e4d35b04c57ff57fe4a2f529a5f2",
+    "sylvester letters": "a7e68bfd461a31a4968c63cef214617798617ae9ea31e9a7ba11ad1237247b8f",
+    "macaulay c_j_i_e": "876328c8fb25096988cccffd5d3a344eec0fed6bf1cb5ad18e7725961a441895",
+    "macaulay letters": "bbafe8fc0dca6763087bc2e573d04d9f6af4b9d55d7fdc90d01e8fefb01276a7",
+    "lascoux c_j_i_e": "3ae79f196b117f44f5e4f60a57f3d64f535b62b07566dcce62cd7e30c08403ba",
+    "lascoux letters": "49fe3faaf09a64562e927fd4f75b13cda22f41099a6d43bfeaeb44b8037b0e3e",
+    "principal c_j_i_e": "0458a2084144583f7e7c4988736f3797494bee4b3ea17afc9c4fa300d3a86687",
+    "principal letters": "5f60818f2f8a9cae01b01664bc0a724d1a1198c2668b667180fe117dd96a772a",
+    "chow-2 c_j_i_e": "9f136614edb3399e221b502f98a4349754864b23f4afc95620c126624f19d437",
+    "chow-2 letters": "07f8e5ef1f1f28aa58e805b162aef5dfe3b1d41d5d3c446ddf59a531b3b7680f",
+    "chow-2-1 c_j_i_e": "a077486810fefb0f8b307d01a835a5c9d1f22bdd723bb40c1735a46ddb1c7f14",
+    "chow-2-1 letters": "1ba6e446690510736f3d074f8896e8380996b5ae0250b5b2a003ed9c6acd9cf0",
+    "chow-1-1-1 c_j_i_e": "8ee74103b4e0d0a153af628d78cd072c7ba2602d456acec74545f2efc4b500df",
+    "chow-1-1-1 letters": "5f25e01af5df254f7c726cf44e02dd0f21c83bd088236f2838ca6245716773ed",
+    "chow-3-2 c_j_i_e": "3a182f67fbcb02acbeaa5e7eccf149d6579ac8670fef341a67831cb42092aef3",
+    "chow-3-2 letters": "77267a1db04b98333364d8b4779d008a0ac4fdd66eb82ea7e4e1aa1e96592c66",
+    "wide c_j_i_e": "b1000f35cdff1e84d9ea64a0868f4b8549177433f3e8b3f02d2c7036eaa9eb7c",
+    "wide letters": "cff07ca6bc54dfa4af7e38fcdc15c55ba62c1c21e1961c43ca5cf7c1cdb5239a",
+}
+
+
+@pytest.mark.parametrize("rule", ["c_j_i_e", "letters"])
+@pytest.mark.parametrize("spec", list(NAME_SPECS))
+def test_parameter_names_digest(spec, rule):
+    names = generic_morphism(NAME_SPECS[spec], rule == "letters").param_names
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == NAME_GOLDEN[f"{spec} {rule}"]

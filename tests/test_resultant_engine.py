@@ -8,7 +8,7 @@ from operator import add
 
 import pytest
 
-from detres import polyring, resultant_engine
+from detres import chern_degree, polyring, resultant_engine
 from detres.chern_degree import ExistenceError, ProblemSpec, existence_check, multidegree, total_degree
 from detres.polyring import (
     PolyError,
@@ -33,9 +33,7 @@ from detres.resultant_engine import (
     complex_strand,
     concrete_morphism,
     critical_degree,
-    default_naming,
     generic_morphism,
-    letter_naming,
     rational_det,
     rational_rank,
     resultant_gcd,
@@ -1266,14 +1264,10 @@ class TestComplexRoute:
     )
     def test_matches_minors_route(self, monkeypatch, spec, extra, letters):
         d = critical_degree(spec) + extra
-
-        def naming():
-            return letter_naming() if letters else None
-
         with monkeypatch.context() as patch:
             refuse_gcd(patch)
-            out = resultant_gcd(spec, d, naming=naming())
-        oracle = resultant_by_minors(spec, d, naming=naming())
+            out = resultant_gcd(spec, d, letters=letters)
+        oracle = resultant_by_minors(spec, d, letters=letters)
         assert out.confirmed and oracle.confirmed
         assert out.polynomial.terms == oracle.polynomial.terms
         assert out.block_degrees == oracle.block_degrees
@@ -1285,9 +1279,20 @@ class TestComplexRoute:
             raise AssertionError("a point was drawn")
 
         monkeypatch.setattr(resultant_engine, "row_echelon", refuse)
-        out = resultant_gcd(chow_spec(1, 1), naming=letter_naming())
+        out = resultant_gcd(chow_spec(1, 1), letters=True)
         assert out.confirmed
         assert (out.minors_used, out.minor_columns) == (1, ((0, 1, 2),))
+
+    def test_confirmed_checks_each_block(self, monkeypatch):
+        """Sylvester (2, 3) has multidegree (3, 2); a multidegree with the
+        same total but the blocks swapped must leave the result unconfirmed."""
+        spec = sylvester_spec(2, 3)
+        assert resultant_gcd(spec).block_degrees == multidegree(spec) == (3, 2)
+        for module in (chern_degree, resultant_engine):
+            monkeypatch.setattr(module, "multidegree", lambda spec: (2, 3))
+        out = resultant_gcd(spec)
+        assert out.block_degrees == (3, 2)
+        assert not out.confirmed
 
     @pytest.mark.parametrize("spec", [sylvester_spec(2, 3), chow_spec(1, 2)], ids=spec_id)
     def test_builds_no_sigma_matrix(self, monkeypatch, spec):
@@ -1368,9 +1373,8 @@ class TestComplexRoute:
         monkeypatch.setattr(resultant_engine, "_field_bits", spy_bits)
         monkeypatch.setattr(resultant_engine, "_compatible_blocks", spy_blocks)
         monkeypatch.setattr(resultant_engine, "_det_packed", spy_det)
-        naming = letter_naming() if letters else None
         d = critical_degree(spec) + extra
-        out = resultant_gcd(spec, d, naming=naming)
+        out = resultant_gcd(spec, d, letters=letters)
         # _sigma_columns sizes its fields for x0..xN at d, and takes the
         # parameter fields from the route
         assert bounds.pop("_sigma_columns") == [d]
@@ -1471,7 +1475,7 @@ class TestGenericMorphism:
 
         sys.setprofile(watch)
         try:
-            phi = generic_morphism(self.PRINCIPAL, letter_naming() if letters else None)
+            phi = generic_morphism(self.PRINCIPAL, letters)
         finally:
             sys.setprofile(None)
         assert made == []
@@ -1486,15 +1490,11 @@ class TestGenericMorphism:
         assert phi.coeff_names[(2, 3, (1, 1))] == "c_2_3_1_1"
 
     def test_letters_fall_back_past_24_columns(self):
-        phi = generic_morphism(ProblemSpec(25, 1, 0, (1,) * 25, (0,)), letter_naming())
+        phi = generic_morphism(ProblemSpec(25, 1, 0, (1,) * 25, (0,)), letters=True)
         names = {i: [name for (_, col, _), name in phi.coeff_names.items() if col == i] for i in (1, 24, 25)}
         assert names[1][:2] == ["a0", "a1"] and names[24][:2] == ["z0", "z1"]
         assert names[25][:2] == ["c_1_25_1_" + "0_" * 23 + "0", "c_1_25_0_1_" + "0_" * 22 + "0"]
         assert len(set(phi.param_names)) == len(phi.param_names) == 25 * 25
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(PolyError, match=r"^duplicate parameter name 'p'$"):
-            generic_morphism(self.PRINCIPAL, lambda j, i, exps: "p" if i == 2 else default_naming(j, i, exps))
 
 
 def integer_values(gen, rng):

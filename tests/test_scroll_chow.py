@@ -10,7 +10,6 @@ from detres.polyring import Polynomial, VarSet
 from detres.resultant_engine import (
     build_sigma,
     critical_degree,
-    letter_naming,
 )
 from detres.scroll_chow import (
     PlaneStiefel,
@@ -441,7 +440,7 @@ class TestLargerChowForms:
     def test_matches_minors_route(self, larger_chow):
         spec, out = larger_chow
         problem = chow_problem(spec)
-        oracle = resultant_by_minors(problem, critical_degree(problem), naming=letter_naming())
+        oracle = resultant_by_minors(problem, critical_degree(problem), letters=True)
         assert oracle.confirmed
         assert out.polynomial.terms == oracle.polynomial.terms
         assert out.block_degrees == oracle.block_degrees
