@@ -257,12 +257,9 @@ def _cmd_complex(args) -> Result:
     from .partition_schur import complex_terms
     spec = _load_spec(args.spec)
     require_existence(spec)
-    q = spec.n - spec.r
-    lo = q * spec.r - spec.m * q
-    indices = [args.p] if args.p is not None else list(range(lo, 1))
-    terms = []
-    for p in indices:
-        terms.extend(complex_terms(spec.m, spec.n, spec.r, p))
+    terms = complex_terms(spec.m, spec.n, spec.r)
+    if args.p is not None:
+        terms = [t for t in terms if t.homological_index == args.p]
     lines = (
         f"p={t.homological_index} I={tuple(t.I)} "
         f"I'={tuple(t.I_prime)} n(I)={t.ampleness}"

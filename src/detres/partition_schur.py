@@ -7,9 +7,9 @@ result of a failed concatenation (the annihilating Schur index) is modelled
 as ``None`` and must not be confused with the zero partition ``()``.
 
 The homological bookkeeping here enumerates the term shapes of the
-resolution of a rank-deficiency locus: for each admissible index ``I`` the
-pair ``(I', n(I))`` is computed by its closed form (``lemma510``), and the
-per-index terms are grouped by homological degree.  The shifted-sequence
+resolution of a rank-deficiency locus: one pass over the admissible indices
+``I`` computes each pair ``(I', n(I))`` by its closed form (``lemma510``)
+and sorts the terms by homological degree.  The shifted-sequence
 concatenation ``conc`` (inversion counting) is kept as that form's test
 oracle.  In the principal case (rank bound one less than the smaller rank)
 this reproduces the Eagon-Northcott shapes.
@@ -45,10 +45,6 @@ def trim(parts: Sequence[int]) -> Partition:
     while i < len(t) and t[i] == 0:
         i += 1
     return t[i:]
-
-
-def weight(parts: Sequence[int]) -> int:
-    return sum(parts)
 
 
 def dual(parts: Sequence[int]) -> Partition:
@@ -131,53 +127,34 @@ def lemma510(
     return trim(head + (p,) * r + tail), p * r
 
 
-class _ComplexTerm(NamedTuple):
+class ComplexTerm(NamedTuple):
+    """One summand of the resolution: the index ``I``, its ``I'`` and ``n(I)``."""
+
     I: Partition
     I_prime: Partition
     ampleness: int
-    homological_index: int
+
+    @property
+    def homological_index(self) -> int:
+        return self.ampleness - sum(self.I)
 
 
-class ComplexTerm(_ComplexTerm):
-    """One summand of a homological degree of the resolution."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, I: Partition, I_prime: Partition, ampleness: int, homological_index: int
-    ) -> "ComplexTerm":
-        assert homological_index == ampleness - weight(I)
-        return super().__new__(cls, I, I_prime, ampleness, homological_index)
-
-
-def complex_terms(m: int, n: int, r: int, p: int) -> list[ComplexTerm]:
-    """All terms of homological index ``p``, in lex order on the index.
+def complex_terms(m: int, n: int, r: int) -> list[ComplexTerm]:
+    """Every term of the resolution, by homological index ascending.
 
     Enumerates partitions ``I`` with parts at most ``m`` and length at most
-    ``q = n - r`` whose Schur index survives and whose homological index
-    ``n(I) - |I|`` equals ``p``.  Indices outside ``[qr - mq, 0]`` yield an
-    empty list.
+    ``q = n - r`` whose Schur index survives, once; each term's homological
+    index ``n(I) - |I|`` lies in ``[qr - mq, 0]``.  The sort is stable, so
+    the terms of one index keep lex order on ``I`` padded to length ``q``.
     """
     if not (m >= n > r >= 0):
         raise PartitionError(f"need m >= n > r >= 0, got {(m, n, r)}")
-    q = n - r
-    if p > 0 or p < q * r - m * q:
-        return []
-    out = []
-    for I in combinations_with_replacement(range(m + 1), q):
+    terms = []
+    for I in combinations_with_replacement(range(m + 1), n - r):
         i_prime, n_of_i = lemma510(I, m, n, r)
-        if i_prime is None:
-            continue
-        if n_of_i - weight(I) == p:
-            out.append(
-                ComplexTerm(
-                    I=trim(I),
-                    I_prime=i_prime,
-                    ampleness=n_of_i,
-                    homological_index=p,
-                )
-            )
-    return out
+        if i_prime is not None:
+            terms.append(ComplexTerm(trim(I), i_prime, n_of_i))
+    return sorted(terms, key=lambda t: t.homological_index)
 
 
 def schur_dim(I: Sequence[int], rank: int) -> int:

@@ -20,7 +20,6 @@ from .polyring import (
     PolyError,
     Polynomial,
     VarSet,
-    det_fraction_free,
 )
 from .resultant_engine import (
     ConcreteMorphism,
@@ -97,11 +96,7 @@ def scroll_matrix(spec: ScrollSpec) -> list[list[Polynomial]]:
 def scroll_equations(spec: ScrollSpec) -> list[Polynomial]:
     """All 2x2 minors of the scroll matrix, generators of the ideal."""
     M = scroll_matrix(spec)
-    cols = len(M[0])
-    out = []
-    for c1, c2 in combinations(range(cols), 2):
-        out.append(det_fraction_free([[M[0][c1], M[0][c2]], [M[1][c1], M[1][c2]]]))
-    return out
+    return [M[0][a] * M[1][b] - M[0][b] * M[1][a] for a, b in combinations(range(len(M[0])), 2)]
 
 
 def parametrize(

@@ -302,13 +302,14 @@ def test_criterion_8_combinatorics():
             for r in range(0, n):
                 if (m - r) * (n - r) < 2:
                     continue
-                ok &= [t.I for t in complex_terms(m, n, r, -1)] == [(r + 1,)]
+                ok &= [t.I for t in complex_terms(m, n, r) if t.homological_index == -1] == [(r + 1,)]
     # principal Eagon-Northcott shapes
     for n in range(1, 5):
         for m in range(n + 1, n + 5):
             r = n - 1
+            all_terms = complex_terms(m, n, r)
             for s in range(1, m - n + 2):
-                terms = complex_terms(m, n, r, -s)
+                terms = [t for t in all_terms if t.homological_index == -s]
                 ok &= len(terms) == 1
                 ok &= terms[0].I == (n + s - 1,)
                 ok &= terms[0].I_prime == trim((1,) * (n - 1) + (s,))

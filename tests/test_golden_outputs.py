@@ -102,6 +102,8 @@ CASES = {
     "test-phi-rows": ["test", "--spec", "spec:principal", "--phi", "file:phi-rows"],
     "chow-test-fractions": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-fractions"],
     "complex": ["complex", "--spec", "spec:lascoux"],
+    # index -2 of (3,3,1) holds two terms: this pins their order
+    "complex-index": ["complex", "--spec", "spec:lascoux", "-p", "-2"],
     "degree-no-resultant": ["degree", "--spec", "spec:no-resultant"],
     "chow-test-degenerate": ["chow-test", "--scroll", "2,1", "--plane", "file:plane-degenerate"],
     "test-phi-short-exponent": ["test", "--spec", "spec:syl11", "--phi", "file:phi-short-exponent"],
@@ -140,6 +142,8 @@ GOLDEN = {
     "chow-test-fractions json": "0 be06ce5c74cf246250e4735c58cd65c4a01f35f30f0ef045184120707cb28fad",
     "complex text": "0 3a6949a92075cfa6216237d0d93b6f6a75de7feabc2fa560872eee5e3e6af2e2",
     "complex json": "0 de04ab001c9a2bd0516d3ee9d15c1b9e601b674fcc0fc3fc2c55b9424e7e499e",
+    "complex-index text": "0 dbfed18986b7b268ce79892ecbac3700fc4d5999bfb4772e7bc5846959824b0c",
+    "complex-index json": "0 40d773f44c50d71d62972bdfe68f95298ad1b188f04c6c99a5d993efd3da2e15",
     "degree-no-resultant text": "3 22e2c79a0db594d06dd41b747608657a0826f68a58f29b6d4f7d0b9a17f3acbb",
     "degree-no-resultant json": "3 72d5eb24ae9648ebeab955af34c856be0a6ccb55c75cde99ad6e3adaa6a5ee60",
     "chow-test-degenerate text": "10 ddb8f18de63822870747c06da23b57e0b543ecb5f50cc00d41b040d70d3c5dec",

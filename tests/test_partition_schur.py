@@ -13,7 +13,6 @@ from detres.partition_schur import (
     lemma510,
     schur_dim,
     trim,
-    weight,
 )
 
 
@@ -60,7 +59,7 @@ class TestDual:
 
     def test_involution(self):
         for parts in all_partitions(5, 4):
-            if weight(parts) <= 12:
+            if sum(parts) <= 12:
                 assert dual(dual(parts)) == trim(parts)
 
     def test_transposition_oracle(self):
@@ -186,9 +185,13 @@ class TestLemma510:
                             assert ni == amp
 
 
+def terms_at(m, n, r, p):
+    return [t for t in complex_terms(m, n, r) if t.homological_index == p]
+
+
 class TestComplexTerms:
     def test_p_zero_is_structure_sheaf(self):
-        terms = complex_terms(4, 2, 1, 0)
+        terms = terms_at(4, 2, 1, 0)
         assert len(terms) == 1
         assert terms[0].I == ()
         assert terms[0].I_prime == ()
@@ -199,18 +202,30 @@ class TestComplexTerms:
                 for r in range(0, n):
                     if (m - r) * (n - r) < 2:
                         continue
-                    terms = complex_terms(m, n, r, -1)
+                    terms = terms_at(m, n, r, -1)
                     assert [t.I for t in terms] == [(r + 1,)]
 
     def test_minimal_index_far_left(self):
         m, n, r = 4, 2, 1
         q = n - r
-        terms = complex_terms(m, n, r, q * r - m * q)
+        terms = terms_at(m, n, r, q * r - m * q)
         assert [t.I for t in terms] == [(m,) * q]
 
-    def test_out_of_range_empty(self):
-        assert complex_terms(4, 2, 1, 1) == []
-        assert complex_terms(4, 2, 1, -100) == []
+    def test_one_pass_matches_grouped_enumeration(self):
+        # every surviving I, grouped by n(I) - |I| ascending, lex order within
+        for m in range(1, 7):
+            for n in range(1, m + 1):
+                for r in range(n):
+                    q = n - r
+                    groups = {}
+                    for I in combinations_with_replacement(range(m + 1), q):
+                        i_prime, n_of_i = lemma510(I, m, n, r)
+                        if i_prime is not None:
+                            groups.setdefault(n_of_i - sum(I), []).append((trim(I), i_prime, n_of_i))
+                    want = [(p, *term) for p in sorted(groups) for term in groups[p]]
+                    terms = complex_terms(m, n, r)
+                    assert [(t.homological_index, *t) for t in terms] == want
+                    assert all(q * r - m * q <= t.homological_index <= 0 for t in terms)
 
     def test_principal_eagon_northcott_shapes(self):
         # one term per index, I=(n+s-1), I'=(1^(n-1), s)
@@ -220,27 +235,23 @@ class TestComplexTerms:
                 if m - n + 1 < 2:
                     continue
                 for s in range(1, m - n + 2):
-                    terms = complex_terms(m, n, r, -s)
+                    terms = terms_at(m, n, r, -s)
                     assert len(terms) == 1
                     t = terms[0]
                     assert t.I == (n + s - 1,)
                     assert t.I_prime == trim((1,) * (n - 1) + (s,))
                     assert t.ampleness == n - 1
                 # total length m - n + 2 including index 0
-                total = sum(
-                    len(complex_terms(m, n, r, p))
-                    for p in range(r - m, 1)
-                )
-                assert total == m - n + 2
+                assert len(complex_terms(m, n, r)) == m - n + 2
 
     @pytest.mark.parametrize("mnr", [(2, 3, 1), (3, 2, 2), (3, 2, -1)])
     def test_bad_ranks(self, mnr):
         with pytest.raises(PartitionError, match=rf"^need m >= n > r >= 0, got \({', '.join(map(str, mnr))}\)$"):
-            complex_terms(*mnr, 0)
+            complex_terms(*mnr)
 
     def test_homological_identity(self):
-        for t in complex_terms(5, 3, 1, -2):
-            assert t.homological_index == t.ampleness - weight(t.I)
+        for t in complex_terms(5, 3, 1):
+            assert t.homological_index == t.ampleness - sum(t.I)
 
 
 class TestSchurDim:

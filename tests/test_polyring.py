@@ -865,8 +865,8 @@ class TestGcd:
         """No computation takes a gcd: no module of detres but polyring names
         the gcd in its code (the package's export table lists it in a
         string), so no entry point can call it.  Nor does any other module
-        name ``evaluate``, and only scroll_chow names ``det_fraction_free``,
-        so nothing new comes to depend on these oracle functions."""
+        name ``evaluate`` or ``det_fraction_free``, so nothing new comes to
+        depend on these oracle functions."""
         oracles = {"multivariate_gcd", "normalize_gcd_style", "evaluate", "det_fraction_free"}
         for path in sorted(Path(detres.__file__).parent.glob("*.py")):
             if path.name == "polyring.py":
@@ -879,8 +879,6 @@ class TestGcd:
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
-            if path.name == "scroll_chow.py":
-                names.discard("det_fraction_free")
             assert not names & oracles, path.name
 
     def test_term_order_does_not_matter(self):

@@ -36,7 +36,7 @@ RECORDS = {
     "ProblemSpec": lambda: ProblemSpec(m=2, n=1, r=0, d=[1, 1], k=[0]),
     "ScrollSpec": lambda: ScrollSpec(degrees=[2, 1]),
     "PlaneStiefel": lambda: PlaneStiefel(rows=[[1, 0], ["1/2", 3]]),
-    "ComplexTerm": lambda: ComplexTerm(I=(2,), I_prime=(1, 1), ampleness=1, homological_index=-1),
+    "ComplexTerm": lambda: ComplexTerm(I=(2,), I_prime=(1, 1), ampleness=1),
     "ConcreteMorphism": concrete,
     "GenericMorphism": lambda: generic_morphism(SYL11),
     "SigmaMatrix": lambda: build_sigma(SYL11, 1, generic_morphism(SYL11)),
@@ -111,9 +111,8 @@ class TestValidation:
 
     def test_complex_term(self):
         term = RECORDS["ComplexTerm"]()
-        assert repr(term) == "ComplexTerm(I=(2,), I_prime=(1, 1), ampleness=1, homological_index=-1)"
-        with pytest.raises(AssertionError):
-            ComplexTerm(I=(2,), I_prime=(1, 1), ampleness=1, homological_index=0)
+        assert repr(term) == "ComplexTerm(I=(2,), I_prime=(1, 1), ampleness=1)"
+        assert term.homological_index == -1
 
     @pytest.mark.parametrize(
         "varset, entries, message",
