@@ -440,12 +440,10 @@ def rational_rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
         lifted = [_reconstruct(u) for u in y]
         if None in lifted:
             break
-        den = lcm(*[f.denominator for f in lifted])
         total = [0] * len(m[0])
-        for row, f in zip(m, lifted):
-            if f:
-                scale = f.numerator * (den // f.denominator)
-                total = [a + scale * b for a, b in zip(total, row)]
+        for row, c in zip(m, _integer_rows([lifted])[0][0]):
+            if c:
+                total = [a + c * b for a, b in zip(total, row)]
         if any(total):
             break
     else:
@@ -566,25 +564,17 @@ def _block_degrees(p: dict, sizes: Sequence[int], s: int) -> tuple[list, int | f
     """Degrees of the packed ``p`` (``s``-bit fields) in consecutive blocks of
     its variables of the given sizes, none empty, and its total degree (the
     top field of the largest key), as ``degree_in`` and ``degree`` give them.
-    A key times ``ones`` (1 in each of L fields) holds in each field the sum
-    of that field and the L - 1 below it, so the top field of a block of
-    size L holds the block's degree: one product per distinct size serves
-    every block of that size.  No field carries, as no partial sum of the
-    variables' fields exceeds the total degree, and the total degree field
-    only adds to the fields above it."""
+    A block's fields taken modulo 2^s - 1 give their sum, the block's degree,
+    as 2^s = 1 modulo 2^s - 1; the sum never wraps, as it is at most the
+    total degree, which is below 2^(s-1): its field's guard bit is 0."""
     if not p:
         return [NEG_INFINITY] * len(sizes), NEG_INFINITY
-    mask, params = (1 << s) - 1, sum(sizes) * s
-    degrees = [0] * len(sizes)
-    for size in set(sizes):
-        ones = ((1 << size * s) - 1) // mask
-        sums = [key * ones for key in p]
-        shift = params
-        for b, length in enumerate(sizes):
-            shift -= length * s
-            if length == size:
-                top = shift + (size - 1) * s
-                degrees[b] = max([total >> top & mask for total in sums])
+    mod, params = (1 << s) - 1, sum(sizes) * s
+    degrees, shift = [], params
+    for size in sizes:
+        shift -= size * s
+        mask = (1 << size * s) - 1
+        degrees.append(max([(key >> shift & mask) % mod for key in p]))
     return degrees, max(p) >> params
 
 

@@ -13,7 +13,8 @@ library keeps the generic morphism as its coefficient layout only, and
 divides only packed integer dicts; the entries, an exact division of
 ``Polynomial``s (``try_exact_div``, ``exact_div``) and the parameter values
 of a concrete morphism (``parameter_assignment``) are built here, for the
-tests.
+tests, as is ``laplace_det``, the cofactor expansion that the determinant
+tests compare with.
 """
 
 from __future__ import annotations
@@ -68,6 +69,21 @@ def generic_entries(phi: GenericMorphism) -> list[list[Polynomial]]:
         unit[t] = 1
         terms[j - 1][i - 1][e + tuple(unit)] = 1
     return [[Polynomial(varset, entry) for entry in row] for row in terms]
+
+
+def laplace_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Determinant of a square matrix of ``Polynomial``s by cofactor
+    expansion along its first row: the naive oracle of the determinants."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    varset = matrix[0][0].varset
+    acc = Polynomial.zero(varset)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = matrix[0][j] * laplace_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 def block_names(phi: GenericMorphism, i: int) -> tuple[str, ...]:

@@ -40,7 +40,7 @@ from detres.scroll_chow import (
     plane_meets_scroll,
     scroll_equations,
 )
-from minors_oracle import try_exact_div
+from minors_oracle import laplace_det, try_exact_div
 
 
 def verdict(num, ok, detail, t0):
@@ -50,19 +50,6 @@ def verdict(num, ok, detail, t0):
     )
     print(line)
     assert ok, line
-
-
-def laplace_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    varset = matrix[0][0].varset
-    acc = Polynomial.zero(varset)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * laplace_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def test_criterion_1_multidegree_formulas():

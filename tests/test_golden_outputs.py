@@ -27,6 +27,7 @@ SPECS = {
     "syl11": {"m": 2, "n": 1, "r": 0, "d": [1, 1], "k": [0]},
     "syl12": {"m": 2, "n": 1, "r": 0, "d": [1, 2], "k": [0]},
     "macaulay": {"m": 3, "n": 1, "r": 0, "d": [1, 1, 1], "k": [0]},
+    "mac112": {"m": 3, "n": 1, "r": 0, "d": [1, 1, 2], "k": [0]},
     "lascoux": {"m": 3, "n": 3, "r": 1, "d": [1, 1, 1], "k": [0, 0, 0]},
     "principal": {"m": 3, "n": 2, "r": 1, "d": [1, 1, 2], "k": [0, 0]},
     # d_i > k_1 fails for both columns: no resultant
@@ -93,6 +94,9 @@ CASES = {
     "matrix-phi": ["matrix", "--spec", "spec:syl12", "--phi", "file:phi-fractions"],
     "resultant-sylvester": ["resultant", "--spec", "spec:sylvester"],
     "resultant-macaulay-above-nu": ["resultant", "--spec", "spec:macaulay", "--degree", "2"],
+    # strand dims (15, 26, 12, 1): blocks of 15, 11 and 1 rows, and column
+    # blocks of 3, 3 and 6 parameters
+    "resultant-three-blocks": ["resultant", "--spec", "spec:mac112", "--degree", "4"],
     "test-vanishes": ["test", "--spec", "spec:syl11", "--phi", "file:phi-meet"],
     "test-nonvanishing": ["test", "--spec", "spec:syl11", "--phi", "file:phi-apart"],
     "chow": ["chow", "--scroll", "2,1"],
@@ -124,6 +128,8 @@ GOLDEN = {
     "resultant-sylvester json": "0 e4164f101765b53816ab5c96e51577555ac2e2fadffbdfee33f7871f9cd56e4b",
     "resultant-macaulay-above-nu text": "0 d3cd791da58a9e99c4db21e7604c85c7da785746ac270cd12a066fa6534f3717",
     "resultant-macaulay-above-nu json": "0 aec8425b6acbacd760f1259a252d6724b0141554d6eda4fc8779ac9f415ec891",
+    "resultant-three-blocks text": "0 a4d11d6c74305335c20faf09fad549ba08db73c3330e6ba99d860cefdc62dc0e",
+    "resultant-three-blocks json": "0 a3dda5bc76adb9781843aa9e55ef7fac04691ba7bdcf365950353f73ee880c6d",
     "test-vanishes text": "10 a6c96878f75b2a4fd168ca8c8cf6a32675f748ce0c2ccfbaaf6ece10bed1c7c6",
     "test-vanishes json": "10 8445b5913bf00294fcb41388d4eddf388ef2305d1e1eb00a689456e9f113ef38",
     "test-nonvanishing text": "0 784a08c159ca623a36191876ca319de3cd47898d09fb8d6b5aeee416ec551512",

@@ -34,7 +34,7 @@ from detres.polyring import (
     rational_from_json,
 )
 from detres.resultant_engine import rational_det
-from minors_oracle import exact_div, try_exact_div
+from minors_oracle import exact_div, laplace_det, try_exact_div
 
 XY = VarSet(("x", "y"))
 X = Polynomial.variable(XY, "x")
@@ -231,19 +231,6 @@ class TestEvaluate:
             expected = sum((c * x ** e[0] * y ** e[1] for e, c in terms.items()), Fraction(0))
             assert value == expected
             assert type(value) is Fraction
-
-
-def laplace_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    varset = matrix[0][0].varset
-    acc = Polynomial.zero(varset)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * laplace_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 class TestDeterminant:

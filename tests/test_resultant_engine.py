@@ -49,6 +49,7 @@ from minors_oracle import (
     degrees,
     generic_entries,
     generic_sigma_cells,
+    laplace_det,
     parameter_assignment,
     resultant_by_minors,
     try_exact_div,
@@ -68,19 +69,6 @@ def column_polynomial(sigma, c):
         for pe, coeff in row[c].terms.items():
             terms[rho + pe] += coeff
     return Polynomial(full, terms)
-
-
-def laplace_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    varset = matrix[0][0].varset
-    acc = Polynomial.zero(varset)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * laplace_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def classical_sylvester_resultant(d1, d2):
@@ -1705,6 +1693,13 @@ class TestOnePassDegrees:
             e = [0] * len(pv)
             e[t] = 127
             polys.append(Polynomial(pv, {tuple(e): -1, (0,) * len(pv): 3}))
+        # 2^(s-1) - 1, the largest degree an s-bit field holds, spread over
+        # two fields of the first block and of the last: 64 + 63 at s = 8
+        top = (1 << s - 1) - 1
+        for t in (0, len(pv) - self.sizes(phi)[-1]):
+            e = [0] * len(pv)
+            e[t], e[t + 1] = top - top // 2, top // 2
+            polys.append(Polynomial(pv, {tuple(e): 2, (0,) * len(pv): 1}))
         for poly in polys:
             packed = polyring._pack(poly.terms, len(pv), s)
             assert _block_degrees(packed, self.sizes(phi), s) == self.expected(poly, phi)
