@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from struct import Struct
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import mul, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -141,8 +141,11 @@ class Polynomial:
                 raise PolyError(
                     f"exponent tuple {exps!r} does not match {nv} variables"
                 )
-            if min(exps, default=0) < 0:
-                raise PolyError(f"negative exponent in {exps!r}")
+            for x in exps:
+                if type(x) is not int:  # as in from_json: no float, no bool
+                    raise PolyError(f"exponent {exps!r} is not a tuple of integers")
+                if x < 0:
+                    raise PolyError(f"negative exponent in {exps!r}")
             c = Fraction(coeff)
             if c != 0:
                 canon[tuple(exps)] = c
@@ -399,7 +402,9 @@ def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
     column set to the nonzero minor on it and the rows taken; one more row
     gives the sum over columns c of +-entry(c) times the minor on the other
     columns (Laplace's expansion along that row).  Only two levels of
-    nonzero minors are kept."""
+    nonzero minors are kept.  Each minor is kept as ``_dict_addmul`` built
+    it: it is copied only when one of its coefficients cancelled to 0, and
+    dropped when every one did."""
     level = {1 << c: entry for c, entry in enumerate(m[-1]) if entry}
     for row in m[-2::-1]:
         entries = [(1 << c, entry) for c, entry in enumerate(row) if entry]
@@ -412,20 +417,27 @@ def _det_packed(m: Sequence[Sequence[IntDict]]) -> IntDict:
                         acc = grown[cols | bit] = {}
                     odd = (cols & (bit - 1)).bit_count() & 1
                     _dict_addmul(acc, entry, sub, -1 if odd else 1)
-        level = {cols: out for cols, acc in grown.items() if (out := {e: c for e, c in acc.items() if c})}
+        level = {}
+        for cols, acc in grown.items():
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                level[cols] = acc
     return level.get((1 << len(m)) - 1, {})
 
 
 def _from_terms(varset: VarSet, terms: Mapping, den: int = 1) -> Polynomial:
     """The polynomial ``terms / den`` from a canonical term dict (exponent
     tuples of the varset's length, int or Fraction coefficients, none
-    zero), built without ``Polynomial``'s per-term checks."""
+    zero), built without ``Polynomial``'s per-term checks.  A result leaves
+    the kernel with one ``Fraction`` per distinct coefficient, shared by
+    every term with that coefficient: a large result has few distinct
+    coefficients (S(2,2)'s Chow form 24 for 20,791 terms), and a
+    ``Fraction`` is immutable."""
     p = Polynomial(varset, {})
-    if den == 1:  # Fraction(c) is much cheaper than Fraction(c, 1)
-        canon = {e: Fraction(c) for e, c in terms.items()}
-    else:
-        canon = {e: Fraction(c, den) for e, c in terms.items()}
-    object.__setattr__(p, "terms", canon)
+    # Fraction(c) is much cheaper than Fraction(c, 1)
+    shared = {c: Fraction(c) if den == 1 else Fraction(c, den) for c in set(terms.values())}
+    object.__setattr__(p, "terms", {e: shared[c] for e, c in terms.items()})
     return p
 
 
@@ -568,6 +580,13 @@ def _layout(nvars: int, s: int) -> Struct:
     return Struct(f">{nvars + 1}{'BHIQ'[s.bit_length() - 4]}")
 
 
+@cache
+def _exponent_layout(nvars: int, s: int) -> Struct:
+    """``_layout`` with the degree field read as pad bytes, of the same size:
+    unpacking a key gives its exponent tuple alone."""
+    return Struct(f">{s // 8}x{nvars}{'BHIQ'[s.bit_length() - 4]}")
+
+
 def _pack(terms: Mapping[Exponent, object], nvars: int, s: int) -> IntDict:
     """Exponent-tuple terms with packed exponents, in fields of ``s`` bits."""
     pack = _layout(nvars, s).pack
@@ -583,13 +602,14 @@ def _packed_index(nvars: int, d: int, s: int) -> Mapping[int, int]:
 
 
 def _unpack(terms: IntDict, nvars: int, s: int) -> dict:
-    """Packed terms with exponent tuples again; a set guard bit means a
+    """Packed terms with exponent tuples again, read past the degree field
+    (``_exponent_layout``); a set guard bit, in any field of any key, means a
     degree bound was too small, and raises."""
-    layout, guards = _layout(nvars, s), _guards(nvars + 1, s)
-    unpack, size = layout.unpack, layout.size
-    if any(key & guards for key in terms):
+    if reduce(or_, terms, 0) & _guards(nvars + 1, s):
         raise PolyError("packed exponent field overflow")
-    return {unpack(key.to_bytes(size, "big"))[1:]: c for key, c in terms.items()}
+    layout = _exponent_layout(nvars, s)
+    unpack, size = layout.unpack, layout.size
+    return {unpack(key.to_bytes(size, "big")): c for key, c in terms.items()}
 
 
 def _mul_tuples(a: IntDict, b: IntDict) -> IntDict:

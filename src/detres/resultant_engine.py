@@ -68,9 +68,9 @@ from .polyring import (
     _dict_mul,
     _det_packed,
     _dict_try_div,
+    _exponent_layout,
     _field_bits,
     _from_terms,
-    _layout,
     _normalize_int_dict,
     _pack,
     _packed_index,
@@ -682,7 +682,7 @@ def _columns_at(
     """The given rows of a differential in packed form (columns of packed
     parameter dicts, ``ps``-bit fields) at an integer parameter point, each
     distinct packed parameter key unpacked and evaluated once."""
-    layout, values, out = _layout(len(point), ps), {}, []
+    layout, values, out = _exponent_layout(len(point), ps), {}, []
     for col in columns:
         cells = []
         for r in rows:
@@ -690,7 +690,7 @@ def _columns_at(
             if cell := col[r]:  # most cells are zero: skip them at once
                 for key, c in cell.items():
                     if key not in values:
-                        e = layout.unpack(key.to_bytes(layout.size, "big"))[1:]
+                        e = layout.unpack(key.to_bytes(layout.size, "big"))
                         values[key] = prod([x**k for x, k in zip(point, e) if k])
                     total += c * values[key]
             cells.append(total)

@@ -101,6 +101,8 @@ CASES = {
     "test-nonvanishing": ["test", "--spec", "spec:syl11", "--phi", "file:phi-apart"],
     "chow": ["chow", "--scroll", "2,1"],
     "chow-matrix-only": ["chow", "--scroll", "2,1", "--matrix-only"],
+    # 20,791 terms with 24 distinct coefficients: the first large result
+    "chow-2-2": ["chow", "--scroll", "2,2"],
     "chow-test": ["chow-test", "--scroll", "2,1", "--plane", "file:plane"],
     "matrix-phi-rows": ["matrix", "--spec", "spec:principal", "--phi", "file:phi-rows"],
     "test-phi-rows": ["test", "--spec", "spec:principal", "--phi", "file:phi-rows"],
@@ -138,6 +140,8 @@ GOLDEN = {
     "chow json": "0 e854eb8d546ef06fa99acfaafb550309b86219a8278f628d1c4026822a35552d",
     "chow-matrix-only text": "0 847eb7e4b24d9c17bf57f1806e158f64012914a75da4e1a2913afa9a796c5360",
     "chow-matrix-only json": "0 4a39516577b41562d6f769ef6a540f6081ed8768c259a3f00e84f325d14f63c5",
+    "chow-2-2 text": "0 04a5b252a4453fe92403f19a66b0b32173746fdb4197889c36b95b4d69dd9d94",
+    "chow-2-2 json": "0 923dfe701967b389dded03d7341f1998d94630a0cfac24e99dc725d7d261535e",
     "chow-test text": "10 21782e08293c55c40fa76a16cb99821c822c610f32fa29637a95747cb596f472",
     "chow-test json": "10 64da7674d9dd516c956570d5f9274bb10da34826ebafdf877e89a66cdfb6edad",
     "matrix-phi-rows text": "0 6675762a301a3bb1ed8815536d55ca997fb18f09015dc1fb5f50caa3c785f505",

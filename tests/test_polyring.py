@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import detres
+from detres import polyring
 from detres.polyring import (
     NEG_INFINITY,
     PolyError,
     Polynomial,
     VarSet,
+    _det_packed,
     _dict_add,
     _dict_mul,
     _dict_try_div,
@@ -164,6 +166,26 @@ class TestArithmetic:
     def test_canonical_no_zero_coeffs(self):
         p = X - X
         assert p.terms == {}
+
+    @pytest.mark.parametrize("exps", [(1.5, 0), (True, 0), (0, 2.0), (1, Fraction(1))])
+    def test_exponents_are_ints(self, exps):
+        """Every exponent entry has type int, as ``from_json`` asks: a float
+        fails in the packed kernel, and ``to_json`` would write a bool as a
+        JSON boolean, which ``from_json`` refuses."""
+        with pytest.raises(PolyError, match=r"is not a tuple of integers$"):
+            Polynomial(XY, {exps: 2})
+
+    def test_products_and_powers_pass_the_exponent_check(self):
+        """``__mul__`` and ``__pow__`` build their results through the checked
+        constructor: the exponent-tuple products, with int exponents."""
+        rng = random.Random(113)
+        for _ in range(10):
+            p, q = random_poly(rng, XY), random_poly(rng, XY)
+            assert (p * q).terms == tuple_mul(p.terms, q.terms)
+            assert (p**3).terms == tuple_mul(tuple_mul(p.terms, p.terms), p.terms)
+            for r in (p * q, p**3):
+                assert all(type(x) is int for e in r.terms for x in e)
+                assert all(type(c) is Fraction for c in r.terms.values())
 
     def test_terms_cannot_be_assigned(self):
         with pytest.raises(AttributeError):
@@ -325,6 +347,20 @@ def sparse_matrix(rng, n, varset, density=0.6):
 XYZ = VarSet(("x", "y", "z"))
 
 
+def dense_entry(rng):
+    """A nonzero polynomial in x, y, z with one to three terms of degree at
+    most 2 in each variable and integer coefficients."""
+    terms = {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(1, 6) for _ in range(rng.randint(1, 3))}
+    return Polynomial(XYZ, terms)
+
+
+def packed_det_terms(m):
+    """``_det_packed`` on the packed entries of an integer matrix, unpacked;
+    8-bit fields hold every degree below 128."""
+    ints = [[_pack({e: int(c) for e, c in p.terms.items()}, 3, 8) for p in row] for row in m]
+    return _unpack(_det_packed(ints), 3, 8)
+
+
 class TestMinorExpansion:
     """``det_fraction_free`` against cofactor expansion and sympy."""
 
@@ -383,6 +419,47 @@ class TestMinorExpansion:
             m = sparse_matrix(rng, n, XYZ, density=1.0)
             m[row] = [z] * n
             assert det_fraction_free(m).is_zero()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_a_level_that_cancels_to_nothing(self, n, monkeypatch):
+        """Two proportional bottom rows: every minor of the first grown level
+        cancels to empty and is dropped, so no later row multiplies one and
+        the determinant is 0."""
+        rng = random.Random(1010 + n)
+        m = [[dense_entry(rng) for _ in range(n)] for _ in range(n)]
+        scale = Polynomial(XYZ, {(1, 0, 0): 2, (0, 0, 0): -3})
+        m[-1] = [p * scale for p in m[-2]]
+        calls, dict_addmul = [], polyring._dict_addmul
+
+        def counting(*args):
+            calls.append(args)
+            return dict_addmul(*args)
+
+        monkeypatch.setattr(polyring, "_dict_addmul", counting)
+        assert packed_det_terms(m) == {}
+        assert len(calls) == n * (n - 1)  # the first grown level alone
+        assert laplace_det(m).is_zero()
+
+    def test_minors_that_lose_some_terms(self):
+        """A minor whose terms partly cancel keeps the others and no zero
+        coefficient: at the top level (x - x - x^2 y, and x + y - x) and
+        at a lower one, under random rows."""
+        x, y, z = (Polynomial.variable(XYZ, v) for v in "xyz")
+        one, zero = Polynomial.constant(XYZ, 1), Polynomial.zero(XYZ)
+        cases = [
+            [[x + y, one], [x, one]],
+            [[one, -one, y], [zero, x, one], [x, zero, one]],
+        ]
+        rng = random.Random(1020)
+        for n in (3, 4, 5):
+            m = [[dense_entry(rng) for _ in range(n)] for _ in range(n)]
+            m[-2][:2], m[-1][:2] = [x + y + z, one], [x + z, one]  # minor on columns 0, 1: y
+            cases.append(m)
+        for m in cases:
+            got = packed_det_terms(m)
+            assert got == laplace_det(m).terms and got
+            assert 0 not in got.values()
+            assert det_fraction_free(m) == laplace_det(m)
 
     def test_distinct_row_denominators(self):
         rng = random.Random(990)
@@ -769,6 +846,24 @@ class TestPackedKernel:
             _unpack(_pack({(0, 128): 1}, 2, s), 2, s)
         assert _unpack(_pack({(0, 127): 1}, 2, s), 2, s) == {(0, 127): 1}
 
+    @pytest.mark.parametrize("s", [8, 16, 32, 64])
+    def test_degree_field_overflow_raises(self, s):
+        """The exponents are read past the degree field, and its guard bit
+        is tested all the same."""
+        top = 1 << 3 * s - 1  # the degree field's guard bit, over x and y
+        with pytest.raises(PolyError, match="overflow"):
+            _unpack({top: 1}, 2, s)
+        with pytest.raises(PolyError, match="overflow"):
+            _unpack({top | _pack({(1, 2): 1}, 2, s).popitem()[0]: 1}, 2, s)
+
+    @pytest.mark.parametrize("at", [0, 17, 39])
+    def test_one_bad_key_among_many_raises(self, at):
+        s = 8
+        keys = list(_pack({e: 1 for e in monomials_of_degree(2, 39)}, 2, s))
+        keys[at] |= 1 << s - 1  # y's guard bit
+        with pytest.raises(PolyError, match="overflow"):
+            _unpack(dict.fromkeys(keys, 1), 2, s)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_prem_matches_tuples(self, seed):
         rng = random.Random(800 + seed)
@@ -901,6 +996,16 @@ class TestTrustedConstructor:
             assert got == want and got.varset is vs
             assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
             assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("den", [1, -3])
+    def test_repeated_coefficients_share_one_fraction(self, den):
+        vs = VarSet(("x", "y", "z"))
+        terms = {e: [2, -1, 2, 6, -1, 5][k % 6] for k, e in enumerate(monomials_of_degree(3, 4))}
+        got = _from_terms(vs, terms, den)
+        assert got == Polynomial(vs, {e: Fraction(c, den) for e, c in terms.items()})
+        assert list(got.terms) == list(terms)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert len({id(c) for c in got.terms.values()}) == len(set(terms.values())) == 4
 
     def test_fraction_coefficients(self):
         terms = {(2, 0): Fraction(3, 4), (0, 1): Fraction(-5)}
